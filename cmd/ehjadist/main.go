@@ -37,7 +37,7 @@ import (
 func main() {
 	var (
 		listen       = flag.String("listen", "127.0.0.1:0", "address to accept workers on")
-		workers      = flag.Int("workers", 2, "number of worker processes")
+		workers      = flag.Int("workers", 2, fmt.Sprintf("number of worker processes (1..%d)", tcpnet.MaxWorkers))
 		spawn        = flag.Bool("spawn", true, "spawn local worker copies of this binary")
 		worker       = flag.Bool("worker", false, "run as a worker (internal, used by -spawn)")
 		connect      = flag.String("connect", "", "coordinator address (worker mode)")
@@ -59,7 +59,6 @@ func main() {
 		resume       = flag.Bool("resume", true, "recover broken worker connections by ack-based session resume (retransmit only unacked frames) before falling back to re-streaming")
 		resumeWindow = flag.Duration("resume-window", tcpnet.DefaultResumeWindow,
 			"how long a disconnected worker may take to redial before the next recovery rung")
-		p2p          = flag.Bool("p2p", true, "ship worker↔worker chunks over direct peer links (the data plane) instead of relaying through the coordinator; with -spawn=false every joind must also run -p2p")
 		wal          = flag.String("wal", "", "write-ahead checkpoint log for the coordinator control plane (DESIGN.md §12); enables crash recovery via -coord-restart")
 		coordKill    = flag.String("coord-kill", "", "kill the coordinator after record N of phase P, format P@N (P=-1 counts whole-log records); fault-injection demo, needs -wal")
 		coordRestart = flag.Bool("coord-restart", false, "on coordinator death, restart in-process: replay the -wal log, rebind the listener, and resume the run where it died")
@@ -78,8 +77,11 @@ func main() {
 	}
 
 	if *worker {
-		runWorker(*connect, *chaos, *resume, *p2p, *park)
+		runWorker(*connect, *chaos, *resume, *park)
 		return
+	}
+	if err := checkWorkers(*workers); err != nil {
+		fatal(err)
 	}
 
 	var alg core.Algorithm
@@ -193,8 +195,7 @@ func main() {
 		}
 		for i := 0; i < *workers; i++ {
 			args := []string{"-worker", "-connect", l.Addr().String(), "-wire", *wireMode,
-				"-resume=" + strconv.FormatBool(*resume), "-p2p=" + strconv.FormatBool(*p2p),
-				"-park=" + strconv.FormatBool(*park)}
+				"-resume=" + strconv.FormatBool(*resume), "-park=" + strconv.FormatBool(*park)}
 			if *chaos != "" {
 				args = append(args, "-chaos", *chaos)
 			}
@@ -241,9 +242,6 @@ func main() {
 	// inside that coordinator's Drain loop, so the closure is safe).
 	baseOpts := func(l net.Listener, target **tcpnet.Coordinator) []tcpnet.Option {
 		var opts []tcpnet.Option
-		if *p2p {
-			opts = append(opts, tcpnet.WithP2P())
-		}
 		if *resume {
 			// The coordinator takes over the listener: disconnected workers
 			// redial it and resume their session in place.
@@ -329,12 +327,8 @@ func main() {
 		float64(*rTuples+*sTuples)/elapsed, *wireMode)
 	fmt.Printf("ehjadist: nodes %d -> %d, splits %d, replications %d\n",
 		report.InitialNodes, report.FinalNodes, report.Splits, report.Replications)
-	topology := "star"
-	if *p2p {
-		topology = "p2p"
-	}
-	fmt.Printf("ehjadist: %s topology, coordinator relayed %d worker-to-worker message(s) (%d KB)\n",
-		topology, stats.RelayedMessages, stats.RelayedBytes>>10)
+	fmt.Printf("ehjadist: coordinator relayed %d worker-to-worker message(s) (%d KB)\n",
+		stats.RelayedMessages, stats.RelayedBytes>>10)
 	if report.Cores > 1 {
 		fmt.Printf("ehjadist: %d cores/node, %d morsels, pool utilization %.0f%%\n",
 			report.Cores, report.PoolMorsels, 100*report.PoolUtilization)
@@ -362,6 +356,15 @@ func main() {
 			report.RecoveryRung, report.Resumes, report.RetransmittedFrames,
 			report.SessionFrames, report.ChecksumFailures, report.DuplicateFrames)
 	}
+}
+
+// checkWorkers rejects a worker count the coordinator cannot run, before
+// anything is listened on or spawned.
+func checkWorkers(n int) error {
+	if n < 1 || n > tcpnet.MaxWorkers {
+		return fmt.Errorf("-workers %d: want 1..%d", n, tcpnet.MaxWorkers)
+	}
+	return nil
 }
 
 // parseKill parses a "W@T" fault spec: worker index and wall-clock seconds.
@@ -399,7 +402,7 @@ func parseCrashPoint(s string) (phase int, records int64, err error) {
 	return phase, records, nil
 }
 
-func runWorker(connect, chaos string, resume, p2p, park bool) {
+func runWorker(connect, chaos string, resume, park bool) {
 	plan, err := tcpnet.ParseChaos(chaos)
 	if err != nil {
 		fatal(err)
@@ -433,13 +436,10 @@ func runWorker(connect, chaos string, resume, p2p, park bool) {
 			opts = append(opts, tcpnet.WithWorkerPark())
 		}
 	}
-	if p2p {
-		opts = append(opts, tcpnet.WithWorkerP2P(":0"))
-		if chaos != "" {
-			// Peer links share the process's one chaos plan, so a scheduled
-			// fault fires once per worker whichever link it lands on.
-			opts = append(opts, tcpnet.WithWorkerPeerChaos(plan.Wrap))
-		}
+	if chaos != "" {
+		// Peer links share the process's one chaos plan, so a scheduled
+		// fault fires once per worker whichever link it lands on.
+		opts = append(opts, tcpnet.WithWorkerPeerChaos(plan.Wrap))
 	}
 	if err := tcpnet.RunWorker(conn, factory, opts...); err != nil {
 		fatal(err)

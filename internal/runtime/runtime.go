@@ -76,8 +76,9 @@ type TransportStats struct {
 	// directions summed (retransmissions excluded).
 	FramesSent int64
 	// RelayedMessages counts worker→worker messages that relayed through
-	// the coordinator hub (star topology); ~0 with the p2p data plane,
-	// where chunk traffic travels over direct worker↔worker links.
+	// the coordinator. It stays 0: worker→worker traffic travels over
+	// direct peer links, so a nonzero count means the data plane was
+	// bypassed.
 	RelayedMessages int64
 	// RelayedBytes is the payload volume of those relayed messages.
 	RelayedBytes int64

@@ -45,7 +45,7 @@ func BenchmarkTCPJoinThroughput(b *testing.B) {
 			prev := wire.SetBinary(mode.binary)
 			defer wire.SetBinary(prev)
 			for i := 0; i < b.N; i++ {
-				conns, wg := startWorkers(b, 2)
+				conns, wg := startWorkers(b, 2, joinFactory)
 				assignment := make(map[rt.NodeID]int)
 				for j, id := range ids {
 					assignment[id] = j % 2

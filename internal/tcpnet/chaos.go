@@ -256,7 +256,7 @@ type chaosConn struct {
 	// frame is injected at a boundary, never mid-frame.
 	trackFrames bool
 	parseBroken bool   // framing lost (e.g. we corrupted a length prefix)
-	cur         []byte // current frame accumulating (length prefix + body)
+	cur         []byte // current frame accumulating (header + body)
 	curNeed     int    // total frame size once the prefix is complete
 	frames      int64  // completed reliable frames written
 
@@ -350,8 +350,8 @@ func (c *chaosConn) feed(b []byte) {
 		c.cur = append(c.cur, b[:take]...)
 		b = b[take:]
 		if len(c.cur) == frameHeaderLen && c.curNeed == 0 {
-			bodyLen := int(binary.LittleEndian.Uint32(c.cur))
-			if bodyLen < minBodyLen || bodyLen > maxFrameBytes {
+			bodyLen, err := frameLen(c.cur)
+			if err != nil {
 				c.parseBroken = true // framing lost; disable duplication
 				return
 			}

@@ -42,8 +42,9 @@ func baselineRun(t *testing.T) (uint64, uint64) {
 }
 
 // runChaosJoin runs the Split join across two TCP workers with worker 0's
-// connection (initial and every redial) wrapped in the given chaos plan,
-// and the session layer's resume ladder enabled on both ends.
+// coordinator connection (initial and every redial) wrapped in the given
+// chaos plan, and the session layer's resume ladder enabled on both ends.
+// Peer links stay clean; p2p_chaos_test.go covers them.
 func runChaosJoin(t *testing.T, spec string) *core.Report {
 	t.Helper()
 	plan, err := tcpnet.ParseChaos(spec)

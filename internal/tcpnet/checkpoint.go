@@ -58,8 +58,7 @@ type ckptWriter struct {
 
 // WithCheckpoint enables write-ahead checkpointing of the coordinator's
 // control plane onto w (typically an append-mode file). Requires
-// WithResume — recovery is worker-initiated re-attachment — and is
-// incompatible with WithReconnect.
+// WithResume — recovery is worker-initiated re-attachment.
 func WithCheckpoint(w io.Writer) Option {
 	return func(c *Coordinator) { c.ckpt = &ckptWriter{w: w} }
 }
@@ -153,7 +152,6 @@ func (c *Coordinator) headerRecord() *wire.CkptRecord {
 		Kind:        wire.CkptHeader,
 		Version:     wire.CkptVersion,
 		SessionBase: c.sessionBase,
-		P2P:         c.p2p,
 		CfgBlob:     c.cfgBlob,
 		PeerAddrs:   c.peerAddrs,
 	}
@@ -399,7 +397,6 @@ func RestoreCoordinator(snap *Snapshot, actors map[rt.NodeID]rt.Actor, opts ...O
 		start:        time.Now(),
 		cfgBlob:      h.CfgBlob,
 		sessionBase:  h.SessionBase,
-		p2p:          h.P2P,
 		peerAddrs:    h.PeerAddrs,
 		drainTimeout: DrainTimeout,
 		hbInterval:   DefaultHeartbeatInterval,
@@ -412,24 +409,18 @@ func RestoreCoordinator(snap *Snapshot, actors map[rt.NodeID]rt.Actor, opts ...O
 	if c.resumeL == nil {
 		return nil, errors.New("tcpnet: RestoreCoordinator requires WithResume — recovery is worker-initiated re-attachment")
 	}
-	if c.reconnect != nil {
-		return nil, errors.New("tcpnet: checkpoint recovery is incompatible with WithReconnect")
-	}
 	c.inbox = make(chan taggedFrame, c.inboxCap)
-	c.done = make(chan struct{})
-	nW := 0
+	// The address book has one entry per worker, written at bootstrap.
+	nW := len(h.PeerAddrs)
+	if nW == 0 || nW > MaxWorkers {
+		return nil, fmt.Errorf("tcpnet: checkpoint header lists %d workers, want 1..%d", nW, MaxWorkers)
+	}
 	for i, id := range h.AssignIDs {
 		w := int(h.AssignWorkers[i])
-		c.assignment[rt.NodeID(id)] = w
-		if w+1 > nW {
-			nW = w + 1
+		if w < 0 || w >= nW {
+			return nil, fmt.Errorf("tcpnet: checkpoint assigns node %d to worker %d of %d", id, w, nW)
 		}
-	}
-	if c.p2p && len(h.PeerAddrs) > nW {
-		nW = len(h.PeerAddrs)
-	}
-	if nW == 0 {
-		return nil, errors.New("tcpnet: checkpoint header assigns no workers")
+		c.assignment[rt.NodeID(id)] = w
 	}
 	c.perWorker = make([][]int32, nW)
 	for i, id := range h.AssignIDs {
@@ -441,9 +432,7 @@ func RestoreCoordinator(snap *Snapshot, actors map[rt.NodeID]rt.Actor, opts ...O
 	for _, ids := range c.perWorker {
 		sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
 	}
-	if c.p2p {
-		c.peerEpochs = make([]uint32, nW)
-	}
+	c.peerEpochs = make([]uint32, nW)
 	for id, a := range actors {
 		if _, remote := c.assignment[id]; remote {
 			continue
@@ -471,7 +460,9 @@ func RestoreCoordinator(snap *Snapshot, actors map[rt.NodeID]rt.Actor, opts ...O
 	// sends rebuild the retransmit buffers; relays and control broadcasts
 	// re-encode from their records. prefixOpen tracks whether we are still
 	// inside the injected-message prefix of the current phase (see
-	// RootInjects).
+	// RootInjects): it ends at the first delivery or relay that is not an
+	// injection, or at an epoch bump or death, after which injections come
+	// from the failure handler, not the phase schedule.
 	st := &replayState{
 		cover: make([]seqCover, nW),
 		dead:  make([]bool, nW),
@@ -527,7 +518,9 @@ func RestoreCoordinator(snap *Snapshot, actors map[rt.NodeID]rt.Actor, opts ...O
 			env.self = to
 			a.Receive(env, from, rec.Msg)
 		case wire.CkptMark:
-			prefixOpen = false
+			// A report applied between two root injections' dequeues
+			// (Drain absorbs the inbox after every local delivery) is no
+			// injection and does not end the prefix.
 			w := int(rec.Worker)
 			if w < 0 || w >= nW {
 				return nil, fmt.Errorf("tcpnet: checkpoint mark for nonexistent worker %d", w)
@@ -554,24 +547,22 @@ func RestoreCoordinator(snap *Snapshot, actors map[rt.NodeID]rt.Actor, opts ...O
 			st.cover[w] = seqCover{}
 			wc.delivered, wc.processed, wc.received, wc.emitted = 0, 0, 0, 0
 			wc.peerEmitted, wc.peerProcessed = nil, nil
-			if c.p2p {
-				c.peerEpochs[w] = rec.PeerEpoch
-				// The reassignment broadcast framePeerEpoch to every
-				// other non-dead worker, then caught the reassigned
-				// worker up on already-dead peers (sendPeerLiveness).
-				for j := range c.workers {
-					if j != w && !st.dead[j] {
-						f := getFrame()
-						f.Kind, f.From, f.Epoch = framePeerEpoch, int32(w), rec.PeerEpoch
-						st.resendCtl(c, j, f)
-					}
+			c.peerEpochs[w] = rec.PeerEpoch
+			// The reassignment broadcast framePeerEpoch to every other
+			// non-dead worker, then caught the reassigned worker up on
+			// already-dead peers (sendPeerLiveness).
+			for j := range c.workers {
+				if j != w && !st.dead[j] {
+					f := getFrame()
+					f.Kind, f.From, f.Epoch = framePeerEpoch, int32(w), rec.PeerEpoch
+					st.resendCtl(c, j, f)
 				}
-				for k := range c.workers {
-					if k != w && st.dead[k] {
-						f := getFrame()
-						f.Kind, f.From = framePeerDown, int32(k)
-						st.resendCtl(c, w, f)
-					}
+			}
+			for k := range c.workers {
+				if k != w && st.dead[k] {
+					f := getFrame()
+					f.Kind, f.From = framePeerDown, int32(k)
+					st.resendCtl(c, w, f)
 				}
 			}
 		case wire.CkptDeath:
@@ -582,13 +573,11 @@ func RestoreCoordinator(snap *Snapshot, actors map[rt.NodeID]rt.Actor, opts ...O
 			}
 			st.dead[w] = true
 			c.workers[w].state = stateDead
-			if c.p2p {
-				for j := range c.workers {
-					if j != w && !st.dead[j] {
-						f := getFrame()
-						f.Kind, f.From = framePeerDown, int32(w)
-						st.resendCtl(c, j, f)
-					}
+			for j := range c.workers {
+				if j != w && !st.dead[j] {
+					f := getFrame()
+					f.Kind, f.From = framePeerDown, int32(w)
+					st.resendCtl(c, j, f)
 				}
 			}
 		default:

@@ -5,8 +5,8 @@ package tcpnet_test
 // distributed join, a fresh coordinator is restored from the write-ahead
 // checkpoint, the parked workers re-attach through the extended resume
 // handshake, and the resumed run must produce the exact fault-free result
-// — Matches and Checksum bit-identical to the simulator's — across star
-// and p2p data planes, with and without the spill and heavy-hitter paths.
+// — Matches and Checksum bit-identical to the simulator's — with and
+// without the spill and heavy-hitter paths.
 
 import (
 	"bytes"
@@ -22,16 +22,15 @@ import (
 	"ehjoin/internal/tcpnet"
 )
 
-// coordCrashRun executes cfg over three TCP workers with checkpointing
+// coordCrashRun executes cfg over nWorkers TCP workers with checkpointing
 // armed. With crashRecs > 0 a crash point is installed (see
 // WithCrashPoint); when it fires, the harness does what a supervisor
 // would: rebind the listener on the same address, replay the log into a
 // restored coordinator, and finish the run with core.ResumeExecute.
 // Returns the final report, whether the crash actually fired, and the
 // final record count of the log.
-func coordCrashRun(t *testing.T, cfg core.Config, p2p bool, crashPhase int, crashRecs int64) (*core.Report, bool, int64) {
+func coordCrashRun(t *testing.T, cfg core.Config, nWorkers, crashPhase int, crashRecs int64) (*core.Report, bool, int64) {
 	t.Helper()
-	const nWorkers = 3
 	blob, err := core.EncodeConfig(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -67,16 +66,11 @@ func coordCrashRun(t *testing.T, cfg core.Config, p2p bool, crashPhase int, cras
 		wg.Add(1)
 		go func(i int, c net.Conn) {
 			defer wg.Done()
-			wopts := []tcpnet.WorkerOption{
-				// A generous park schedule: the worker must still be
-				// redialing when the restored coordinator rebinds.
+			// A generous park schedule: the worker must still be
+			// redialing when the restored coordinator rebinds.
+			if err := tcpnet.RunWorker(c, joinFactory,
 				tcpnet.WithWorkerResume(dial, 200, 5*time.Millisecond),
-				tcpnet.WithWorkerPark(),
-			}
-			if p2p {
-				wopts = append(wopts, tcpnet.WithWorkerP2P("127.0.0.1:0"))
-			}
-			if err := tcpnet.RunWorker(c, joinFactory, wopts...); err != nil {
+				tcpnet.WithWorkerPark()); err != nil {
 				// Not fatal by itself: a worker that gives up is rung-3
 				// territory, and the result-equality check is the arbiter
 				// of whether recovery stayed exact.
@@ -105,9 +99,6 @@ func coordCrashRun(t *testing.T, cfg core.Config, p2p bool, crashPhase int, cras
 	}
 	if crashRecs > 0 {
 		opts = append(opts, tcpnet.WithCrashPoint(crashPhase, crashRecs))
-	}
-	if p2p {
-		opts = append(opts, tcpnet.WithP2P())
 	}
 	coord, err = tcpnet.NewCoordinator(blob, assignment, conns, opts...)
 	if err != nil {
@@ -145,17 +136,12 @@ func coordCrashRun(t *testing.T, cfg core.Config, p2p bool, crashPhase int, cras
 				coord2.Inject(schedID, core.NodeDeadMessage(n))
 			}
 		}
-		ropts := []tcpnet.Option{
+		coord2, err = tcpnet.RestoreCoordinator(snap, rs.Actors(),
 			tcpnet.WithResume(l2, 5*time.Second),
 			tcpnet.WithCheckpoint(&wal),
 			tcpnet.WithFailureHandler(handler2),
-			tcpnet.WithDrainTimeout(30 * time.Second),
-			tcpnet.WithHeartbeat(50*time.Millisecond, 2*time.Second),
-		}
-		if p2p {
-			ropts = append(ropts, tcpnet.WithP2P())
-		}
-		coord2, err = tcpnet.RestoreCoordinator(snap, rs.Actors(), ropts...)
+			tcpnet.WithDrainTimeout(30*time.Second),
+			tcpnet.WithHeartbeat(50*time.Millisecond, 2*time.Second))
 		if err != nil {
 			t.Fatalf("restore from checkpoint: %v", err)
 		}
@@ -198,8 +184,10 @@ func checkRecovered(t *testing.T, got, want *core.Report) {
 
 // TestCoordRecoveryScriptedPoints kills the coordinator at a hand-picked
 // record of each interesting phase — mid-build, mid-probe, heavy-hitter
-// detection, the out-of-core finish, and stats collection — across star
-// and p2p modes, with and without spill and heavy routing.
+// detection, the out-of-core finish, and stats collection — with and
+// without spill and heavy routing. The star-* cases run two workers, joined
+// by a single peer link, so every worker↔worker flow meets at one pair; the
+// p2p-* cases run three, a full mesh.
 func TestCoordRecoveryScriptedPoints(t *testing.T) {
 	plain := distConfig(core.Split)
 	spill := distConfig(core.Split)
@@ -214,20 +202,20 @@ func TestCoordRecoveryScriptedPoints(t *testing.T) {
 	// build, then (heavy detection), then probe, then (out-of-core
 	// finish), then stats collection.
 	cases := []struct {
-		name  string
-		cfg   core.Config
-		p2p   bool
-		phase int
-		recs  int64
+		name    string
+		cfg     core.Config
+		workers int
+		phase   int
+		recs    int64
 	}{
-		{"star-mid-build", plain, false, 0, 12},
-		{"star-mid-probe", plain, false, 1, 12},
-		{"star-mid-stats", plain, false, 2, 3},
-		{"star-spill-finish", spill, false, 2, 2},
-		{"star-heavy-detect", heavy, false, 1, 2},
-		{"p2p-mid-build", plain, true, 0, 12},
-		{"p2p-mid-probe", plain, true, 1, 12},
-		{"p2p-spill-heavy-probe", spillHeavy, true, 2, 8},
+		{"star-mid-build", plain, 2, 0, 12},
+		{"star-mid-probe", plain, 2, 1, 12},
+		{"star-mid-stats", plain, 2, 2, 3},
+		{"star-spill-finish", spill, 2, 2, 2},
+		{"star-heavy-detect", heavy, 2, 1, 2},
+		{"p2p-mid-build", plain, 3, 0, 12},
+		{"p2p-mid-probe", plain, 3, 1, 12},
+		{"p2p-spill-heavy-probe", spillHeavy, 3, 2, 8},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -235,7 +223,7 @@ func TestCoordRecoveryScriptedPoints(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, crashed, _ := coordCrashRun(t, tc.cfg, tc.p2p, tc.phase, tc.recs)
+			got, crashed, _ := coordCrashRun(t, tc.cfg, tc.workers, tc.phase, tc.recs)
 			if !crashed {
 				t.Fatalf("crash point (phase %d, record %d) never fired", tc.phase, tc.recs)
 			}
@@ -254,12 +242,12 @@ func TestCoordRecoveryScriptedPoints(t *testing.T) {
 // asserted in bulk.
 func TestCoordRecoveryRandomizedPoints(t *testing.T) {
 	for _, mode := range []struct {
-		name   string
-		p2p    bool
-		trials int
+		name    string
+		workers int
+		trials  int
 	}{
-		{"star", false, 12},
-		{"p2p", true, 8},
+		{"star", 2, 12},
+		{"p2p", 3, 8},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			cfg := distConfig(core.Split)
@@ -267,7 +255,7 @@ func TestCoordRecoveryRandomizedPoints(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			base, crashed, total := coordCrashRun(t, cfg, mode.p2p, 0, 0)
+			base, crashed, total := coordCrashRun(t, cfg, mode.workers, 0, 0)
 			if crashed {
 				t.Fatal("control run crashed with no crash point armed")
 			}
@@ -282,7 +270,7 @@ func TestCoordRecoveryRandomizedPoints(t *testing.T) {
 			fired := 0
 			for trial := 0; trial < mode.trials; trial++ {
 				recs := 3 + rng.Int63n(total-3)
-				got, crashed, _ := coordCrashRun(t, cfg, mode.p2p, -1, recs)
+				got, crashed, _ := coordCrashRun(t, cfg, mode.workers, -1, recs)
 				if !crashed {
 					t.Logf("trial %d: crash at record %d/%d never fired", trial, recs, total)
 					if got.Matches != want.Matches || got.Checksum != want.Checksum {

@@ -7,13 +7,17 @@ package tcpnet
 // must still resume on rung 1 afterwards.
 
 import (
+	"bytes"
+	"errors"
 	"math/rand"
 	"net"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	rt "ehjoin/internal/runtime"
+	wire "ehjoin/internal/wire"
 )
 
 func TestCoordRecoveryRedialJitter(t *testing.T) {
@@ -83,6 +87,9 @@ func chaosHello(t *testing.T, dial func() (net.Conn, error), payload []byte) net
 // no reassignment, no death.
 func TestCoordRecoveryHandshakeChaos(t *testing.T) {
 	l, server, client, dial := resumePair(t, nil)
+	if err := advertise(client); err != nil {
+		t.Fatal(err)
+	}
 
 	deaths := make(chan error, 8)
 	c, err := NewCoordinator(nil, map[rt.NodeID]int{1: 0}, []net.Conn{server},
@@ -191,6 +198,9 @@ func TestCoordRecoveryHandshakeChaos(t *testing.T) {
 // and re-stream.
 func TestCoordRecoveryDigestMismatch(t *testing.T) {
 	l, server, client, dial := resumePair(t, nil)
+	if err := advertise(client); err != nil {
+		t.Fatal(err)
+	}
 
 	deaths := make(chan error, 8)
 	c, err := NewCoordinator(nil, map[rt.NodeID]int{1: 0}, []net.Conn{server},
@@ -271,5 +281,87 @@ func TestCoordRecoveryDigestMismatch(t *testing.T) {
 	stats := c.TransportStats()
 	if stats.Resumes != 0 || stats.FullReassigns != 1 {
 		t.Errorf("resumes %d, full reassigns %d; want 0 and 1", stats.Resumes, stats.FullReassigns)
+	}
+}
+
+// TestRootInjectsSurviveInterleavedReports pins the replay's count of a
+// phase's root injections. Drain absorbs the inbox after every local
+// delivery, so a worker report can be applied — and logged as a mark —
+// between the dequeues of two root injections. The mark is not an
+// injection: replay must count both roots, or the resumed run re-injects
+// the second and its effect lands twice (a source streaming its whole
+// relation again).
+func TestRootInjectsSurviveInterleavedReports(t *testing.T) {
+	l, server, client, _ := resumePair(t, nil)
+	if err := advertise(client); err != nil {
+		t.Fatal(err)
+	}
+	var wal bytes.Buffer
+	// Records: 1 header, 2 first root, 3 the report's mark, 4 second root.
+	c, err := NewCoordinator(nil, map[rt.NodeID]int{1: 0}, []net.Conn{server},
+		WithResume(l, 10*time.Second),
+		WithCheckpoint(&wal),
+		WithCrashPoint(-1, 4),
+		WithDrainTimeout(30*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.Register(50, &countActor{n: new(int64)})
+	c.Register(51, &countActor{n: new(int64)})
+
+	// Scripted worker: take the assignment, then report.
+	f, err := newWireReader(client).ReadFrame()
+	if err != nil {
+		t.Fatal(err)
+	}
+	putFrame(f)
+	rep, err := appendFrame(nil, &frame{Kind: frameReport}, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.Write(rep); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); len(c.inbox) == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the report never reached the coordinator's inbox")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	c.Inject(50, &testMsg{Seq: 1})
+	c.Inject(51, &testMsg{Seq: 2})
+	if err := c.Drain(); !errors.Is(err, ErrCoordKilled) {
+		t.Fatalf("Drain = %v, want ErrCoordKilled", err)
+	}
+	c.Close()
+
+	snap, err := ReadSnapshot(bytes.NewReader(wal.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kinds []wire.CkptKind
+	for _, rec := range snap.Records {
+		kinds = append(kinds, rec.Kind)
+	}
+	want := []wire.CkptKind{wire.CkptHeader, wire.CkptDelivery, wire.CkptMark, wire.CkptDelivery}
+	if !reflect.DeepEqual(kinds, want) {
+		t.Fatalf("log kinds %v, want %v: the scenario did not interleave the report", kinds, want)
+	}
+
+	l2, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c2, err := RestoreCoordinator(snap, map[rt.NodeID]rt.Actor{
+		50: &countActor{n: new(int64)}, 51: &countActor{n: new(int64)},
+	}, WithResume(l2, time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	if got := c2.RootInjects(); got != 2 {
+		t.Errorf("RootInjects = %d, want 2: a resumed run would re-inject a root the log already delivered", got)
 	}
 }

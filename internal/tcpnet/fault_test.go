@@ -30,6 +30,58 @@ func (k *killConn) Read(p []byte) (int, error) {
 	return n, err
 }
 
+// hungConn is the worker end of a hung worker process: RunWorker's
+// bootstrap write (its peer address) goes through, and then the process
+// never reads again until the test closes the connection.
+type hungConn struct {
+	net.Conn
+	closed chan struct{}
+	once   sync.Once
+}
+
+func newHungConn(c net.Conn) *hungConn { return &hungConn{Conn: c, closed: make(chan struct{})} }
+
+func (h *hungConn) Read([]byte) (int, error) {
+	<-h.closed
+	return 0, net.ErrClosed
+}
+
+func (h *hungConn) Close() error {
+	h.once.Do(func() { close(h.closed) })
+	return h.Conn.Close()
+}
+
+// startHungWorker accepts one worker connection that hangs right after
+// bootstrap and returns the coordinator-side conn; cleanup closes the
+// worker end and waits for its RunWorker to return.
+func startHungWorker(t *testing.T) net.Conn {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	wconn, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cconn, err := l.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hung := newHungConn(wconn)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_ = tcpnet.RunWorker(hung, joinFactory) // fails once the test closes it
+	}()
+	t.Cleanup(func() {
+		hung.Close()
+		<-done
+	})
+	return cconn
+}
+
 func joinFactory(blob []byte, id rt.NodeID) (rt.Actor, error) {
 	cfg, err := core.DecodeConfig(blob)
 	if err != nil {
@@ -119,21 +171,7 @@ func TestDisconnectMidBuildFails(t *testing.T) {
 // closing its connection is caught by the ping/pong heartbeat, not the
 // drain timeout.
 func TestHeartbeatDetectsHungWorker(t *testing.T) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	wconn, err := net.Dial("tcp", l.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer wconn.Close() // held open but never read: a hung process
-	cconn, err := l.Accept()
-	if err != nil {
-		t.Fatal(err)
-	}
-
+	cconn := startHungWorker(t)
 	coord, err := tcpnet.NewCoordinator(nil, map[rt.NodeID]int{7: 0}, []net.Conn{cconn},
 		tcpnet.WithHeartbeat(20*time.Millisecond, 150*time.Millisecond),
 		tcpnet.WithDrainTimeout(10*time.Second))
@@ -154,21 +192,7 @@ func TestHeartbeatDetectsHungWorker(t *testing.T) {
 // TestDrainTimeoutOption: with heartbeats disabled, the configurable drain
 // timeout still bounds a stuck drain and reports per-worker counters.
 func TestDrainTimeoutOption(t *testing.T) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	wconn, err := net.Dial("tcp", l.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer wconn.Close()
-	cconn, err := l.Accept()
-	if err != nil {
-		t.Fatal(err)
-	}
-
+	cconn := startHungWorker(t)
 	coord, err := tcpnet.NewCoordinator(nil, map[rt.NodeID]int{7: 0}, []net.Conn{cconn},
 		tcpnet.WithHeartbeat(0, 0),
 		tcpnet.WithDrainTimeout(150*time.Millisecond))
@@ -196,7 +220,7 @@ func TestDrainTimeoutOption(t *testing.T) {
 // feeds the deaths to the scheduler, and the recovery protocol re-streams
 // the lost state — the run completes with the exact fault-free result.
 func TestWorkerDeathRecoversOverTCP(t *testing.T) {
-	workerDeathRecovers(t, 1)
+	workerDeathRecovers(t, 2, 1)
 }
 
 // TestShardedWorkerDeathRecoversOverTCP repeats the worker-death run with
@@ -204,10 +228,13 @@ func TestWorkerDeathRecoversOverTCP(t *testing.T) {
 // must drop all shards of the lost ranges and the re-stream must rebuild
 // through the per-worker goroutine pool.
 func TestShardedWorkerDeathRecoversOverTCP(t *testing.T) {
-	workerDeathRecovers(t, 4)
+	workerDeathRecovers(t, 2, 4)
 }
 
-func workerDeathRecovers(t *testing.T, cores int) {
+// workerDeathRecovers runs the Split join over `workers` workers, kills
+// worker 1 after 100 KB of coordinator traffic, and demands the exact
+// fault-free result with nothing relayed through the coordinator.
+func workerDeathRecovers(t *testing.T, workers, cores int) {
 	cfg := distConfig(core.Split)
 	cfg.Cores = cores
 	want, err := core.Run(cfg)
@@ -227,10 +254,10 @@ func workerDeathRecovers(t *testing.T, cores int) {
 		t.Fatal(err)
 	}
 
-	conns, wg := startFaultyWorkers(t, 2, 1, 100<<10, true)
+	conns, wg := startFaultyWorkers(t, workers, 1, 100<<10, true)
 	assignment := make(map[rt.NodeID]int)
 	for i, id := range ids {
-		assignment[id] = i % 2
+		assignment[id] = i % workers
 	}
 	var coord *tcpnet.Coordinator
 	handler := func(worker int, nodes []rt.NodeID, cause error) {
@@ -271,4 +298,5 @@ func workerDeathRecovers(t *testing.T, cores int) {
 		t.Errorf("sharded run reported cores=%d, %d morsels — parallel path not exercised over TCP",
 			got.Cores, got.PoolMorsels)
 	}
+	assertNoRelay(t, got)
 }

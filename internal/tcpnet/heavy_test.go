@@ -2,9 +2,9 @@ package tcpnet_test
 
 // Heavy-hitter routing over the real transport: the detection handshake
 // (detectHeavy/keyCountReq/keyCountResp) rides the coordinator links while
-// heavyAssign and the heavyClone replication chunks cross the binary wire
-// codec — and, under the p2p data plane, the direct worker↔worker links.
-// The join result must stay bit-identical to the simulator's either way.
+// heavyAssign crosses the binary wire codec and the heavyClone replication
+// chunks the direct worker↔worker links. The join result must stay
+// bit-identical to the simulator's.
 
 import (
 	"testing"
@@ -26,9 +26,16 @@ func heavyDistConfig(alg core.Algorithm) core.Config {
 	return cfg
 }
 
-// TestDistributedHeavy runs the heavy path with all join nodes hosted on
-// two TCP workers over the star topology.
-func TestDistributedHeavy(t *testing.T) {
+// TestDistributedHeavy runs the heavy path with the join nodes spread over
+// two workers: heavyClone replication chunks are worker↔worker chunk
+// traffic, so they must ride the direct link — zero relayed messages
+// through the coordinator.
+func TestDistributedHeavy(t *testing.T) { heavyMatchesSimulator(t, 2) }
+
+// TestP2PHeavy is the three-worker layout of the same run.
+func TestP2PHeavy(t *testing.T) { heavyMatchesSimulator(t, 3) }
+
+func heavyMatchesSimulator(t *testing.T, workers int) {
 	for _, alg := range []core.Algorithm{core.Split, core.Replication, core.Hybrid} {
 		t.Run(alg.String(), func(t *testing.T) {
 			cfg := heavyDistConfig(alg)
@@ -39,69 +46,17 @@ func TestDistributedHeavy(t *testing.T) {
 			if want.HeavyKeys == 0 {
 				t.Fatal("scenario detected no heavy keys in the simulator")
 			}
-			blob, err := core.EncodeConfig(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ids, err := core.JoinNodeIDs(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			conns, wg := startWorkers(t, 2)
-			assignment := make(map[rt.NodeID]int)
-			for i, id := range ids {
-				assignment[id] = i % 2
-			}
-			coord, err := tcpnet.NewCoordinator(blob, assignment, conns)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := core.Execute(cfg, coord)
-			coord.Close()
-			wg.Wait()
-			if err != nil {
-				t.Fatal(err)
-			}
+			got := runJoin(t, cfg, workers)
 			if got.Matches != want.Matches || got.Checksum != want.Checksum {
-				t.Errorf("distributed heavy result %d/%#x, want %d/%#x",
+				t.Errorf("heavy result %d/%#x, want %d/%#x",
 					got.Matches, got.Checksum, want.Matches, want.Checksum)
 			}
 			if got.HeavyKeys != want.HeavyKeys {
-				t.Errorf("distributed run detected %d heavy keys, sim %d",
+				t.Errorf("run detected %d heavy keys, sim %d",
 					got.HeavyKeys, want.HeavyKeys)
 			}
 			if got.HeavyProbeTuples == 0 {
 				t.Error("no probe tuples took the partitioned path over TCP")
-			}
-		})
-	}
-}
-
-// TestP2PHeavy repeats the heavy run over the peer-to-peer data plane:
-// heavyClone replication chunks are worker↔worker chunk traffic, so they
-// must ride the direct links — zero relayed messages through the hub.
-func TestP2PHeavy(t *testing.T) {
-	for _, alg := range []core.Algorithm{core.Split, core.Replication, core.Hybrid} {
-		t.Run(alg.String(), func(t *testing.T) {
-			cfg := heavyDistConfig(alg)
-			want, err := core.Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want.HeavyKeys == 0 {
-				t.Fatal("scenario detected no heavy keys in the simulator")
-			}
-			got := runP2PJoin(t, cfg, 3)
-			if got.Matches != want.Matches || got.Checksum != want.Checksum {
-				t.Errorf("p2p heavy result %d/%#x, want %d/%#x",
-					got.Matches, got.Checksum, want.Matches, want.Checksum)
-			}
-			if got.HeavyKeys != want.HeavyKeys {
-				t.Errorf("p2p run detected %d heavy keys, sim %d",
-					got.HeavyKeys, want.HeavyKeys)
-			}
-			if got.HeavyProbeTuples == 0 {
-				t.Error("no probe tuples took the partitioned path over p2p links")
 			}
 			assertNoRelay(t, got)
 		})
@@ -133,7 +88,10 @@ func TestHeavyWorkerDeathRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conns, wg := startFaultyWorkers(t, 2, 1, 100<<10, true)
+	// Worker 1 reads ~85 KB from its coordinator link during the build
+	// phase of this scenario (the heavy clones ride the peer link), so a
+	// kill after 40 KB lands mid-build with margin on both sides.
+	conns, wg := startFaultyWorkers(t, 2, 1, 40<<10, true)
 	assignment := make(map[rt.NodeID]int)
 	for i, id := range ids {
 		assignment[id] = i % 2

@@ -1,17 +1,12 @@
 package tcpnet_test
 
-// Peer-to-peer data-plane differential suite: every star-topology
-// differential check repeated with WithP2P / WithWorkerP2P, asserting the
-// join result stays bit-identical to the simulator AND that no chunk
-// traffic relayed through the coordinator hub (RelayedMessages == 0) —
-// the property the data plane exists to provide.
+// Differential suite: every algorithm and feature combination runs across
+// TCP workers, and the join result must stay bit-identical to the
+// simulator AND no worker→worker traffic may relay through the
+// coordinator (RelayedMessages == 0) — the direct peer links carry it all.
 
 import (
-	"net"
-	"strings"
-	"sync"
 	"testing"
-	"time"
 
 	"ehjoin/internal/core"
 	"ehjoin/internal/datagen"
@@ -19,44 +14,9 @@ import (
 	"ehjoin/internal/tcpnet"
 )
 
-// startWorkersP2P launches n p2p-enabled worker loops over real localhost
-// TCP connections and returns the coordinator-side conns.
-func startWorkersP2P(t testing.TB, n int) ([]net.Conn, *sync.WaitGroup) {
-	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-
-	var wg sync.WaitGroup
-	conns := make([]net.Conn, n)
-	for i := 0; i < n; i++ {
-		wconn, err := net.Dial("tcp", l.Addr().String())
-		if err != nil {
-			t.Fatal(err)
-		}
-		cconn, err := l.Accept()
-		if err != nil {
-			t.Fatal(err)
-		}
-		conns[i] = cconn
-		wg.Add(1)
-		go func(i int, c net.Conn) {
-			defer wg.Done()
-			if err := tcpnet.RunWorker(c, joinFactory,
-				tcpnet.WithWorkerP2P("127.0.0.1:0")); err != nil {
-				t.Errorf("p2p worker %d: %v", i, err)
-			}
-		}(i, wconn)
-	}
-	return conns, &wg
-}
-
-// runP2PJoin executes cfg across `workers` p2p workers and returns the
-// report; the result fingerprint and relayed-traffic assertions are the
-// caller's.
-func runP2PJoin(t *testing.T, cfg core.Config, workers int) *core.Report {
+// runJoin executes cfg across `workers` workers and returns the report;
+// the result fingerprint and relayed-traffic assertions are the caller's.
+func runJoin(t *testing.T, cfg core.Config, workers int) *core.Report {
 	t.Helper()
 	blob, err := core.EncodeConfig(cfg)
 	if err != nil {
@@ -66,12 +26,12 @@ func runP2PJoin(t *testing.T, cfg core.Config, workers int) *core.Report {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conns, wg := startWorkersP2P(t, workers)
+	conns, wg := startWorkers(t, workers, joinFactory)
 	assignment := make(map[rt.NodeID]int)
 	for i, id := range ids {
 		assignment[id] = i % workers
 	}
-	coord, err := tcpnet.NewCoordinator(blob, assignment, conns, tcpnet.WithP2P())
+	coord, err := tcpnet.NewCoordinator(blob, assignment, conns)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,21 +44,29 @@ func runP2PJoin(t *testing.T, cfg core.Config, workers int) *core.Report {
 	return got
 }
 
-// assertNoRelay pins the data plane's reason to exist: with every join node
-// worker-hosted, no worker→worker message may relay through the hub.
+// assertNoRelay pins the data plane's reason to exist: no worker→worker
+// message may relay through the coordinator.
 func assertNoRelay(t *testing.T, r *core.Report) {
 	t.Helper()
 	if r.RelayedMessages != 0 || r.RelayedBytes != 0 {
-		t.Errorf("p2p run relayed %d msgs (%d bytes) through the coordinator, want 0",
+		t.Errorf("run relayed %d msgs (%d bytes) through the coordinator, want 0",
 			r.RelayedMessages, r.RelayedBytes)
 	}
 }
 
-// TestP2PJoinMatchesSimulator runs every algorithm with the join nodes
-// spread over three p2p workers and compares the result with the
-// simulator's — the same differential oracle as the star suite, over the
-// direct worker↔worker links.
-func TestP2PJoinMatchesSimulator(t *testing.T) {
+// The differential tests run in two layouts: the TestDistributed* names
+// host the join nodes on two workers, joined by a single peer link; the
+// TestP2P* names on three, a full mesh of three links.
+
+// TestDistributedJoinMatchesSimulator runs every algorithm with the join
+// nodes spread over two workers and compares the result with the
+// simulator's.
+func TestDistributedJoinMatchesSimulator(t *testing.T) { joinMatchesSimulator(t, 2) }
+
+// TestP2PJoinMatchesSimulator is the three-worker layout of the same run.
+func TestP2PJoinMatchesSimulator(t *testing.T) { joinMatchesSimulator(t, 3) }
+
+func joinMatchesSimulator(t *testing.T, workers int) {
 	for _, alg := range core.Algorithms() {
 		t.Run(alg.String(), func(t *testing.T) {
 			cfg := distConfig(alg)
@@ -106,9 +74,9 @@ func TestP2PJoinMatchesSimulator(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := runP2PJoin(t, cfg, 3)
+			got := runJoin(t, cfg, workers)
 			if got.Matches != want.Matches || got.Checksum != want.Checksum {
-				t.Errorf("p2p result %d/%#x, want %d/%#x",
+				t.Errorf("result %d/%#x, want %d/%#x",
 					got.Matches, got.Checksum, want.Matches, want.Checksum)
 			}
 			assertNoRelay(t, got)
@@ -116,9 +84,14 @@ func TestP2PJoinMatchesSimulator(t *testing.T) {
 	}
 }
 
-// TestP2PSkewed exercises replication chains and reshuffling — the
-// heaviest worker↔worker flows — over the peer links.
-func TestP2PSkewed(t *testing.T) {
+// TestDistributedSkewed exercises replication chains and reshuffling — the
+// heaviest worker↔worker flows — over the one peer link of two workers.
+func TestDistributedSkewed(t *testing.T) { skewedMatchesSimulator(t, 2) }
+
+// TestP2PSkewed is the three-worker layout of the same run.
+func TestP2PSkewed(t *testing.T) { skewedMatchesSimulator(t, 3) }
+
+func skewedMatchesSimulator(t *testing.T, workers int) {
 	cfg := distConfig(core.Hybrid)
 	cfg.Build = datagen.Spec{Dist: datagen.Gaussian, Mean: 0.5, Sigma: 0.0001, Tuples: 20_000, Seed: 910}
 	cfg.Probe = datagen.Spec{Dist: datagen.Gaussian, Mean: 0.5, Sigma: 0.0001, Tuples: 20_000, Seed: 911}
@@ -126,17 +99,23 @@ func TestP2PSkewed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := runP2PJoin(t, cfg, 3)
+	got := runJoin(t, cfg, workers)
 	if got.Matches != want.Matches || got.Checksum != want.Checksum {
-		t.Errorf("p2p skewed result %d/%#x, want %d/%#x",
+		t.Errorf("skewed result %d/%#x, want %d/%#x",
 			got.Matches, got.Checksum, want.Matches, want.Checksum)
 	}
 	assertNoRelay(t, got)
 }
 
-// TestP2PSpill crosses the spillOrder/spillAck control handshake (still on
-// the coordinator links) with chunk migration on the peer links.
-func TestP2PSpill(t *testing.T) {
+// TestDistributedSpill crosses the spillOrder/spillAck control handshake
+// (on the coordinator links) with chunk migration on the peer link of two
+// workers.
+func TestDistributedSpill(t *testing.T) { spillMatchesSimulator(t, 2) }
+
+// TestP2PSpill is the three-worker layout of the same run.
+func TestP2PSpill(t *testing.T) { spillMatchesSimulator(t, 3) }
+
+func spillMatchesSimulator(t *testing.T, workers int) {
 	for _, alg := range []core.Algorithm{core.Split, core.Replication, core.Hybrid} {
 		t.Run(alg.String(), func(t *testing.T) {
 			cfg := distConfig(alg)
@@ -149,13 +128,13 @@ func TestP2PSpill(t *testing.T) {
 			if want.SpilledPartitions == 0 {
 				t.Fatal("scenario did not engage the spill rung")
 			}
-			got := runP2PJoin(t, cfg, 2)
+			got := runJoin(t, cfg, workers)
 			if got.Matches != want.Matches || got.Checksum != want.Checksum {
-				t.Errorf("p2p spill result %d/%#x, want %d/%#x",
+				t.Errorf("spill result %d/%#x, want %d/%#x",
 					got.Matches, got.Checksum, want.Matches, want.Checksum)
 			}
 			if got.SpilledPartitions == 0 || got.ExhaustedResources {
-				t.Errorf("p2p spill state wrong: partitions=%d exhausted=%v",
+				t.Errorf("spill state wrong: partitions=%d exhausted=%v",
 					got.SpilledPartitions, got.ExhaustedResources)
 			}
 			assertNoRelay(t, got)
@@ -166,7 +145,7 @@ func TestP2PSpill(t *testing.T) {
 // TestP2PPartialAssignment mixes worker-hosted and coordinator-local join
 // nodes: worker↔worker traffic must take the peer links while
 // worker↔local traffic keeps using the coordinator link (which is direct
-// delivery, not relaying).
+// delivery, not relaying). The one-worker case has no peer links at all.
 func TestP2PPartialAssignment(t *testing.T) {
 	cfg := distConfig(core.Split)
 	want, err := core.Run(cfg)
@@ -181,34 +160,50 @@ func TestP2PPartialAssignment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conns, wg := startWorkersP2P(t, 2)
-	assignment := make(map[rt.NodeID]int)
-	for i, id := range ids {
-		if i%3 != 2 { // every third join node stays coordinator-local
-			assignment[id] = i % 2
-		}
+	for _, tc := range []struct {
+		name    string
+		workers int
+		localOf int // every localOf-th join node stays coordinator-local
+	}{
+		{"1-worker", 1, 2},
+		{"2-workers", 2, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			conns, wg := startWorkers(t, tc.workers, joinFactory)
+			assignment := make(map[rt.NodeID]int)
+			for i, id := range ids {
+				if i%tc.localOf != tc.localOf-1 {
+					assignment[id] = i % tc.workers
+				}
+			}
+			coord, err := tcpnet.NewCoordinator(blob, assignment, conns)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := core.Execute(cfg, coord)
+			coord.Close()
+			wg.Wait()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Matches != want.Matches || got.Checksum != want.Checksum {
+				t.Errorf("partial-assignment result %d/%#x, want %d/%#x",
+					got.Matches, got.Checksum, want.Matches, want.Checksum)
+			}
+			assertNoRelay(t, got)
+		})
 	}
-	coord, err := tcpnet.NewCoordinator(blob, assignment, conns, tcpnet.WithP2P())
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := core.Execute(cfg, coord)
-	coord.Close()
-	wg.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Matches != want.Matches || got.Checksum != want.Checksum {
-		t.Errorf("p2p partial-assignment result %d/%#x, want %d/%#x",
-			got.Matches, got.Checksum, want.Matches, want.Checksum)
-	}
-	assertNoRelay(t, got)
 }
 
-// TestP2PMultiWayPipeline hosts a three-way join pipeline on three p2p
+// TestDistributedMultiWayPipeline hosts a three-way join pipeline on two
 // workers: the stage-to-stage chunk handoff is pure worker↔worker traffic,
 // the flow the data plane accelerates most.
-func TestP2PMultiWayPipeline(t *testing.T) {
+func TestDistributedMultiWayPipeline(t *testing.T) { multiWayPipeline(t, 2) }
+
+// TestP2PMultiWayPipeline is the three-worker layout of the same pipeline.
+func TestP2PMultiWayPipeline(t *testing.T) { multiWayPipeline(t, 3) }
+
+func multiWayPipeline(t *testing.T, workers int) {
 	mc := core.MultiConfig{
 		Algorithm:    core.Hybrid,
 		InitialNodes: 2,
@@ -234,12 +229,6 @@ func TestP2PMultiWayPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
 	factory := func(b []byte, id rt.NodeID) (rt.Actor, error) {
 		m, err := core.DecodeMultiConfig(b)
 		if err != nil {
@@ -247,33 +236,12 @@ func TestP2PMultiWayPipeline(t *testing.T) {
 		}
 		return core.NewMultiJoinActor(m, id)
 	}
-	const workers = 3
-	var wg sync.WaitGroup
-	conns := make([]net.Conn, workers)
-	for i := 0; i < workers; i++ {
-		wconn, err := net.Dial("tcp", l.Addr().String())
-		if err != nil {
-			t.Fatal(err)
-		}
-		cconn, err := l.Accept()
-		if err != nil {
-			t.Fatal(err)
-		}
-		conns[i] = cconn
-		wg.Add(1)
-		go func(i int, c net.Conn) {
-			defer wg.Done()
-			if err := tcpnet.RunWorker(c, factory,
-				tcpnet.WithWorkerP2P("127.0.0.1:0")); err != nil {
-				t.Errorf("p2p worker %d: %v", i, err)
-			}
-		}(i, wconn)
-	}
+	conns, wg := startWorkers(t, workers, factory)
 	assignment := make(map[rt.NodeID]int)
 	for i, id := range ids {
 		assignment[id] = i % workers
 	}
-	coord, err := tcpnet.NewCoordinator(blob, assignment, conns, tcpnet.WithP2P())
+	coord, err := tcpnet.NewCoordinator(blob, assignment, conns)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,126 +253,23 @@ func TestP2PMultiWayPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.Matches != want.Matches || got.Checksum != want.Checksum {
-		t.Errorf("p2p pipeline %d/%#x, want %d/%#x",
+		t.Errorf("pipeline %d/%#x, want %d/%#x",
 			got.Matches, got.Checksum, want.Matches, want.Checksum)
 	}
 	// MultiReport carries no transport stats; assert on the coordinator
 	// directly — stage handoffs are pure worker↔worker traffic, so any
 	// relaying here means the data plane was bypassed.
 	if ts.RelayedMessages != 0 || ts.RelayedBytes != 0 {
-		t.Errorf("p2p pipeline relayed %d msgs (%d bytes) through the coordinator, want 0",
+		t.Errorf("pipeline relayed %d msgs (%d bytes) through the coordinator, want 0",
 			ts.RelayedMessages, ts.RelayedBytes)
 	}
 }
 
-// TestP2PWorkerDeathRecovers kills one of three p2p workers mid-build: the
-// coordinator must tombstone the dead peer on the surviving workers
+// TestP2PWorkerDeathRecovers kills one of three workers mid-build: the
+// coordinator must tombstone the dead peer on both surviving workers
 // (framePeerDown), the failure handler feeds the deaths to the scheduler,
 // and the re-stream recovery must still produce the exact fault-free
-// result over the remaining peer links.
+// result over the remaining peer link.
 func TestP2PWorkerDeathRecovers(t *testing.T) {
-	cfg := distConfig(core.Split)
-	want, err := core.Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob, err := core.EncodeConfig(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids, err := core.JoinNodeIDs(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	schedID, err := core.SchedulerNodeID(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	const workers, killWorker = 3, 1
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	var wg sync.WaitGroup
-	conns := make([]net.Conn, workers)
-	for i := 0; i < workers; i++ {
-		wconn, err := net.Dial("tcp", l.Addr().String())
-		if err != nil {
-			t.Fatal(err)
-		}
-		cconn, err := l.Accept()
-		if err != nil {
-			t.Fatal(err)
-		}
-		conns[i] = cconn
-		wg.Add(1)
-		go func(i int, c net.Conn) {
-			defer wg.Done()
-			if i == killWorker {
-				_ = tcpnet.RunWorker(&killConn{Conn: c, remaining: 100 << 10}, joinFactory,
-					tcpnet.WithWorkerP2P("127.0.0.1:0"))
-				return // dies by design
-			}
-			if err := tcpnet.RunWorker(c, joinFactory,
-				tcpnet.WithWorkerP2P("127.0.0.1:0")); err != nil {
-				t.Errorf("surviving p2p worker %d: %v", i, err)
-			}
-		}(i, wconn)
-	}
-	assignment := make(map[rt.NodeID]int)
-	for i, id := range ids {
-		assignment[id] = i % workers
-	}
-	var coord *tcpnet.Coordinator
-	handler := func(worker int, nodes []rt.NodeID, cause error) {
-		t.Logf("worker %d died (%v); notifying scheduler of %d nodes", worker, cause, len(nodes))
-		for _, n := range nodes {
-			coord.Inject(schedID, core.NodeDeadMessage(n))
-		}
-	}
-	coord, err = tcpnet.NewCoordinator(blob, assignment, conns,
-		tcpnet.WithP2P(),
-		tcpnet.WithFailureHandler(handler),
-		tcpnet.WithHeartbeat(50*time.Millisecond, 500*time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := core.Execute(cfg, coord)
-	coord.Close()
-	wg.Wait()
-	if err != nil {
-		t.Fatalf("p2p run with worker death did not recover: %v", err)
-	}
-	if got.NodesLost == 0 {
-		t.Fatal("the doomed worker's nodes were never declared dead")
-	}
-	if got.Degraded {
-		t.Fatalf("build-phase worker death should recover exactly, got degraded: %v", got)
-	}
-	if got.Matches != want.Matches || got.Checksum != want.Checksum {
-		t.Errorf("recovered p2p result %d/%#x, want %d/%#x",
-			got.Matches, got.Checksum, want.Matches, want.Checksum)
-	}
-	if got.RestreamedChunks <= 0 {
-		t.Errorf("recovery should re-stream chunks, got %d", got.RestreamedChunks)
-	}
-	assertNoRelay(t, got)
-}
-
-// TestP2PIncompatibleWithReconnect pins the documented restriction: a
-// coordinator-dialed replacement process would listen on a fresh data-plane
-// address nobody re-broadcasts, so the combination must be rejected up
-// front, not fail mysteriously at runtime.
-func TestP2PIncompatibleWithReconnect(t *testing.T) {
-	_, err := tcpnet.NewCoordinator(nil, map[rt.NodeID]int{}, nil,
-		tcpnet.WithP2P(),
-		tcpnet.WithReconnect(func(int) (net.Conn, error) { return nil, nil }, 1, 0))
-	if err == nil {
-		t.Fatal("WithP2P + WithReconnect accepted, want an error")
-	}
-	if !strings.Contains(err.Error(), "WithResume") {
-		t.Errorf("error should point at WithResume as the supported recovery path: %v", err)
-	}
+	workerDeathRecovers(t, 3, 1)
 }

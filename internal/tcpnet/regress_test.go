@@ -1,16 +1,14 @@
 package tcpnet
 
-// Regression pins for four transport bugs fixed alongside the p2p data
+// Regression pins for three transport bugs fixed alongside the p2p data
 // plane:
 //
 //  1. the drain timeout measured absolute elapsed time instead of
 //     inactivity, so a healthy run that simply took longer than the
 //     timeout was killed while traffic was flowing;
-//  2. the asynchronous redial goroutine outlived Close, dialing a dead
-//     address for attempts × backoff after the run was over;
-//  3. pooled frame structs relied on every call site zeroing fields,
+//  2. pooled frame structs relied on every call site zeroing fields,
 //     so a newly added field could leak values between frames;
-//  4. a one-directional link under sustained load never acked — piggyback
+//  3. a one-directional link under sustained load never acked — piggyback
 //     acks need outbound traffic and idle acks need a blocking point, so
 //     a p2p stage handoff ballooned the sender's retransmit buffer until
 //     the session overflowed and lost resumability.
@@ -65,6 +63,10 @@ func (c *chainActor) Receive(env rt.Env, from rt.NodeID, m rt.Message) {
 func TestDrainTimeoutIsInactivityNotAbsolute(t *testing.T) {
 	server, client := tcpPair(t)
 	const timeout = 100 * time.Millisecond
+	const rounds = 150
+	const delay = 2 * time.Millisecond
+	const driver = rt.NodeID(50)
+	workerDone := runTestWorker(client, map[rt.NodeID]rt.Actor{1: &slowEcho{to: driver, delay: delay}})
 	c, err := NewCoordinator(nil, map[rt.NodeID]int{1: 0}, []net.Conn{server},
 		WithDrainTimeout(timeout))
 	if err != nil {
@@ -72,12 +74,8 @@ func TestDrainTimeoutIsInactivityNotAbsolute(t *testing.T) {
 	}
 	defer c.Close()
 
-	const rounds = 150
-	const delay = 2 * time.Millisecond
 	var got int64
-	const driver = rt.NodeID(50)
 	c.Register(driver, &chainActor{peer: 1, rounds: rounds, got: &got})
-	workerDone := runTestWorker(client, map[rt.NodeID]rt.Actor{1: &slowEcho{to: driver, delay: delay}})
 
 	c.Inject(1, &testMsg{Seq: 0})
 	start := time.Now()
@@ -94,52 +92,6 @@ func TestDrainTimeoutIsInactivityNotAbsolute(t *testing.T) {
 	c.Close()
 	if err := <-workerDone; err != nil {
 		t.Fatalf("worker exit: %v", err)
-	}
-}
-
-// TestCloseCancelsRedial pins the redial-goroutine lifetime: Close must
-// stop a pending reconnect loop promptly. Before the fix the goroutine
-// kept dialing for the full attempts × backoff schedule after Close —
-// here a million 1ms-spaced attempts — holding the dial target and
-// leaking itself for the process lifetime.
-func TestCloseCancelsRedial(t *testing.T) {
-	server, client := tcpPair(t)
-	var dials int64
-	c, err := NewCoordinator(nil, map[rt.NodeID]int{1: 0}, []net.Conn{server},
-		WithDrainTimeout(100*time.Millisecond),
-		WithReconnect(func(worker int) (net.Conn, error) {
-			atomic.AddInt64(&dials, 1)
-			return nil, errDialRefused
-		}, 1_000_000, time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Kill the worker and force the drain loop to notice: the failure
-	// spawns the redial goroutine, and with every dial refused the drain
-	// itself gives up on its (inactivity) timeout.
-	client.Close()
-	c.Inject(1, &testMsg{Seq: 0})
-	if err := c.Drain(); err == nil {
-		t.Fatal("drain succeeded with the worker dead and every redial refused")
-	}
-	for i := 0; atomic.LoadInt64(&dials) == 0; i++ {
-		if i > 1000 {
-			t.Fatal("redial goroutine never started dialing")
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	c.Close()
-	// One attempt may already be in flight when done closes; after it
-	// resolves the counter must freeze. 100ms of leftover schedule would
-	// show ~100 more dials.
-	time.Sleep(10 * time.Millisecond)
-	after := atomic.LoadInt64(&dials)
-	time.Sleep(100 * time.Millisecond)
-	if final := atomic.LoadInt64(&dials); final > after+1 {
-		t.Fatalf("redial kept dialing after Close: %d attempts in 100ms (had %d at Close)",
-			final-after, after)
 	}
 }
 
@@ -268,6 +220,9 @@ func TestAckDebtCoordLink(t *testing.T) {
 // covers the whole path: debt trigger, writer-goroutine encode, flush.
 func TestAckDebtCoordinatorSide(t *testing.T) {
 	server, client := tcpPair(t)
+	if err := advertise(client); err != nil {
+		t.Fatal(err)
+	}
 	c, err := NewCoordinator(nil, map[rt.NodeID]int{1: 0}, []net.Conn{server})
 	if err != nil {
 		t.Fatal(err)

@@ -53,7 +53,7 @@ func reliableKind(k frameKind) bool {
 }
 
 // sentFrame is one retransmit-buffer entry: a reliable frame's complete
-// wire encoding (length prefix included), replayable verbatim.
+// wire encoding (header included), replayable verbatim.
 type sentFrame struct {
 	seq  uint64
 	data []byte

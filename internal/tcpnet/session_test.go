@@ -136,6 +136,13 @@ func TestResumeAfterTear(t *testing.T) {
 		t.Fatal(err)
 	}
 	l, server, client, dial := resumePair(t, plan)
+	const sink = rt.NodeID(50)
+	done := make(chan error, 1)
+	go func() {
+		done <- RunWorker(client, func(blob []byte, id rt.NodeID) (rt.Actor, error) {
+			return &echoActor{to: sink}, nil
+		}, WithWorkerResume(dial, 10, 10*time.Millisecond))
+	}()
 
 	c, err := NewCoordinator(nil, map[rt.NodeID]int{1: 0}, []net.Conn{server},
 		WithResume(l, 5*time.Second),
@@ -146,14 +153,7 @@ func TestResumeAfterTear(t *testing.T) {
 	defer c.Close()
 
 	col := &seqActor{}
-	const sink = rt.NodeID(50)
 	c.Register(sink, col)
-	done := make(chan error, 1)
-	go func() {
-		done <- RunWorker(client, func(blob []byte, id rt.NodeID) (rt.Actor, error) {
-			return &echoActor{to: sink}, nil
-		}, WithWorkerResume(dial, 10, 10*time.Millisecond))
-	}()
 
 	const n = 300
 	pad := make([]byte, 64)
@@ -198,6 +198,9 @@ func TestResumeAfterTear(t *testing.T) {
 // runs its purge + re-stream recovery.
 func TestResumeWindowOverflowFallsBack(t *testing.T) {
 	l, server, client, dial := resumePair(t, nil)
+	if err := advertise(client); err != nil {
+		t.Fatal(err)
+	}
 
 	// Buffered beyond any plausible death count: the handler runs on the
 	// drain loop, so it must never block (the scripted worker's final
@@ -293,6 +296,9 @@ func TestResumeWindowOverflowFallsBack(t *testing.T) {
 // window, the worker is declared dead and the failure handler runs.
 func TestResumeWindowExpiry(t *testing.T) {
 	l, server, client, _ := resumePair(t, nil)
+	if err := advertise(client); err != nil {
+		t.Fatal(err)
+	}
 
 	causeCh := make(chan error, 1)
 	c, err := NewCoordinator(nil, map[rt.NodeID]int{1: 0}, []net.Conn{server},

@@ -1,10 +1,12 @@
 // Package tcpnet runs the join protocol across real OS processes: a
 // coordinator process hosts the scheduler and the data sources, and worker
 // processes host join nodes. Messages travel as length-prefixed binary
-// frames over TCP in a star topology (worker-to-worker traffic relays
-// through the coordinator); the hot chunk-bearing messages use hand-written
-// binary codecs, rare control messages fall back to gob (see wire.go and
-// internal/wire).
+// frames over TCP; the hot chunk-bearing messages use hand-written binary
+// codecs, rare control messages fall back to gob (see wire.go and
+// internal/wire). Each worker keeps one link to the coordinator (control
+// traffic, source chunks, and messages to coordinator-local actors) and a
+// direct link to every other worker, which carries the worker-to-worker
+// chunk traffic (see peer.go).
 //
 // Quiescence (the Drain phase barrier) is detected with per-connection
 // counters: every worker reports, after fully draining its local queue,
@@ -35,8 +37,7 @@
 //  2. Full reassignment: when the retransmit window overflowed or the
 //     session epoch changed, the worker is reassigned from scratch under a
 //     new epoch and the failure handler fires so the join layer purges the
-//     lost footprint and re-streams it deterministically (also the
-//     WithReconnect path, where the coordinator dials a fresh process).
+//     lost footprint and re-streams it deterministically.
 //  3. Death: no reconnection inside the resume window. The worker is
 //     tombstoned and the failure handler (WithFailureHandler) lets the
 //     scheduler recover — exactly in the build phase, degrading to
@@ -68,7 +69,7 @@ const (
 	frameResume      // worker → coordinator: redial handshake hello
 	frameResumeOK    // coordinator → worker: resume accepted
 	frameAck         // bare cumulative ack, sent when idle traffic can't carry one
-	framePeerAddr    // worker → coordinator: data-plane listener address (p2p bootstrap)
+	framePeerAddr    // worker → coordinator: data-plane listener address (bootstrap)
 	framePeerHello   // worker → worker: peer-link dial/resume handshake hello
 	framePeerHelloOK // worker → worker: peer-link handshake accepted
 	framePeerEpoch   // coordinator → worker: a peer was reassigned; reset its link under the new epoch
@@ -96,10 +97,9 @@ type frame struct {
 	Session uint64
 	Epoch   uint32
 
-	// frameAssign, p2p extension: this worker's index, the peer address
-	// book, the coordinator-owned per-worker peer epochs, and the full
-	// node→worker map (so workers route chunk traffic directly). All empty
-	// in star mode.
+	// frameAssign, data plane: this worker's index, the peer address book,
+	// the coordinator-owned per-worker peer epochs, and the full
+	// node→worker map (so workers route chunk traffic directly).
 	Worker     int32
 	Peers      []string
 	Epochs     []uint32
@@ -128,8 +128,8 @@ type frame struct {
 	// frameReport (cumulative counters)
 	Processed int64
 	Emitted   int64
-	// Per-peer data-plane counters, indexed by worker (p2p mode only):
-	// messages this worker emitted to / processed from each peer link.
+	// Per-peer data-plane counters, indexed by worker: messages this
+	// worker emitted to / processed from each peer link.
 	PeerEmitted   []int64
 	PeerProcessed []int64
 	// Worker-side session stats, piggybacked so the coordinator can fold
@@ -201,16 +201,7 @@ type taggedFrame struct {
 	gen    int
 	f      *frame
 	err    error
-	redial *redialResult
 	resume *resumeRequest
-}
-
-// redialResult is the outcome of an asynchronous reconnect attempt,
-// delivered to the drain loop through the inbox. conn == nil means every
-// attempt failed.
-type redialResult struct {
-	conn  net.Conn
-	cause error // the original failure that triggered the reconnect
 }
 
 // resumeRequest is a worker's redial handshake, parked in the inbox until
@@ -227,7 +218,7 @@ type resumeRequest struct {
 	hasDigest bool
 	ackedSeq  uint64
 	digest    uint64
-	// peerAddr is the data-plane listener a blank p2p worker re-advertised
+	// peerAddr is the data-plane listener a blank worker re-advertised
 	// ahead of its hello; it pins the worker to the slot whose logged
 	// address book entry it matches.
 	peerAddr string
@@ -254,7 +245,7 @@ type workerConn struct {
 	// pass the digest cross-check, and counts as a re-attachment.
 	restored bool
 
-	// Latest worker-reported per-peer data-plane counters (p2p mode).
+	// Latest worker-reported per-peer data-plane counters.
 	peerEmitted   []int64
 	peerProcessed []int64
 
@@ -274,17 +265,10 @@ type localDelivery struct {
 }
 
 // FailureHandler is notified when a worker is declared dead (or was
-// reconnected with all actor state lost). nodes lists the join-node ids the
+// reassigned with all actor state lost). nodes lists the join-node ids the
 // worker hosted; a handler typically injects death notifications for them so
 // the scheduler's recovery protocol takes over.
 type FailureHandler func(worker int, nodes []rt.NodeID, cause error)
-
-// reconnectPolicy re-establishes a failed worker connection.
-type reconnectPolicy struct {
-	dial     func(worker int) (net.Conn, error)
-	attempts int
-	backoff  time.Duration
-}
 
 // Coordinator implements runtime.Engine over TCP workers.
 type Coordinator struct {
@@ -299,16 +283,14 @@ type Coordinator struct {
 	queue      []localDelivery
 	start      time.Time
 	closed     bool
-	done       chan struct{} // closed by Close; cancels background redials
 
 	cfgBlob     []byte
 	perWorker   [][]int32
 	sessionBase uint64
 
-	// p2p data plane (WithP2P): peer address book collected at bootstrap
-	// and the coordinator-owned per-worker peer epochs, bumped on every
-	// full reassignment so peers reset their direct links.
-	p2p        bool
+	// Data plane: the peer address book collected at bootstrap and the
+	// coordinator-owned per-worker peer epochs, bumped on every full
+	// reassignment so peers reset their direct links.
 	peerAddrs  []string
 	peerEpochs []uint32
 
@@ -317,7 +299,6 @@ type Coordinator struct {
 	drainTimeout  time.Duration
 	hbInterval    time.Duration
 	hbTimeout     time.Duration
-	reconnect     *reconnectPolicy
 	onFailure     FailureHandler
 	resumeL       net.Listener
 	resumeWindow  time.Duration
@@ -372,18 +353,6 @@ func WithInboxFrames(n int) Option {
 	}
 }
 
-// WithReconnect lets the coordinator replace a failed worker connection:
-// dial is tried up to attempts times with backoff between tries, in a
-// background goroutine so healthy workers keep draining meanwhile. The
-// fresh worker receives the original assignment and rebuilds its actors
-// from scratch, so the failure handler still fires — actor state died with
-// the old process and the join layer must recover it.
-func WithReconnect(dial func(worker int) (net.Conn, error), attempts int, backoff time.Duration) Option {
-	return func(c *Coordinator) {
-		c.reconnect = &reconnectPolicy{dial: dial, attempts: attempts, backoff: backoff}
-	}
-}
-
 // WithFailureHandler installs the callback invoked when a worker dies.
 // Without one, a worker death is fatal: Drain returns a descriptive error.
 func WithFailureHandler(h FailureHandler) Option {
@@ -394,10 +363,10 @@ func WithFailureHandler(h FailureHandler) Option {
 // connection breaks redials l, and its session continues with only the
 // unacked frames retransmitted — the cheapest recovery rung, with actor
 // state intact. window bounds how long the coordinator waits for the
-// redial (0 = DefaultResumeWindow) before falling through to WithReconnect
-// (if configured) or declaring the worker dead. The coordinator owns l and
-// closes it on Close, which is also how clean shutdown is disambiguated on
-// the worker side: a redial refused after EOF means the run is over.
+// redial (0 = DefaultResumeWindow) before declaring the worker dead. The
+// coordinator owns l and closes it on Close, which is also how clean
+// shutdown is disambiguated on the worker side: a redial refused after EOF
+// means the run is over.
 func WithResume(l net.Listener, window time.Duration) Option {
 	return func(c *Coordinator) {
 		c.resumeL = l
@@ -407,17 +376,13 @@ func WithResume(l net.Listener, window time.Duration) Option {
 	}
 }
 
-// WithP2P enables the peer-to-peer data plane: at bootstrap every worker
-// advertises a data-plane listener address (framePeerAddr, read before its
-// assignment is sent), the coordinator distributes the address book and
-// the full node→worker map with each assignment, and workers exchange
-// chunk-bearing traffic over direct worker↔worker connections instead of
-// relaying through the coordinator. Control traffic (assignments, spill
-// negotiation, reports, heartbeats, epoch bumps) stays on the star. The
-// quiescence predicate generalizes to per-pair counters carried in worker
-// reports (see quiescent).
+// WithP2P is a no-op.
+//
+// Deprecated: the peer-to-peer data plane is the only topology, so there
+// is nothing left to enable. The option remains so existing callers keep
+// compiling.
 func WithP2P() Option {
-	return func(c *Coordinator) { c.p2p = true }
+	return func(*Coordinator) {}
 }
 
 // WithRetransmitWindow bounds each worker session's retransmit buffer
@@ -432,6 +397,15 @@ func WithRetransmitWindow(frames, bytes int) Option {
 // node ids to indexes in conns; every unassigned registered node runs
 // locally. cfgBlob is shipped verbatim to each worker (typically
 // core.EncodeConfig output) together with its assigned node ids.
+//
+// Bootstrap reads each worker's first frame, the data-plane listener
+// address it advertises, before any assignment goes out: every assignment
+// carries the complete peer address book and the full node→worker map,
+// and workers exchange chunk-bearing traffic over direct worker↔worker
+// connections. Control traffic (assignments, spill negotiation, reports,
+// heartbeats, epoch bumps) stays on the coordinator links. The quiescence
+// predicate covers the peer links through per-pair counters carried in
+// worker reports (see quiescent).
 func NewCoordinator(cfgBlob []byte, assignment map[rt.NodeID]int, conns []net.Conn, opts ...Option) (*Coordinator, error) {
 	c := &Coordinator{
 		assignment:   assignment,
@@ -449,8 +423,10 @@ func NewCoordinator(cfgBlob []byte, assignment map[rt.NodeID]int, conns []net.Co
 	for _, o := range opts {
 		o(c)
 	}
+	if len(conns) > MaxWorkers {
+		return nil, fmt.Errorf("tcpnet: at most %d workers supported, got %d", MaxWorkers, len(conns))
+	}
 	c.inbox = make(chan taggedFrame, c.inboxCap)
-	c.done = make(chan struct{})
 	c.perWorker = make([][]int32, len(conns))
 	for id, w := range assignment {
 		if w < 0 || w >= len(conns) {
@@ -464,27 +440,9 @@ func NewCoordinator(cfgBlob []byte, assignment map[rt.NodeID]int, conns []net.Co
 	for _, ids := range c.perWorker {
 		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	}
-	if c.p2p {
-		if len(conns) > maxP2PWorkers {
-			return nil, fmt.Errorf("tcpnet: p2p mode supports at most %d workers, got %d",
-				maxP2PWorkers, len(conns))
-		}
-		if c.reconnect != nil {
-			// A coordinator-dialed replacement process would listen on a
-			// fresh data-plane address, and there is no protocol for
-			// re-broadcasting the address book mid-run. Worker-initiated
-			// resume (WithResume) covers rungs 1-2; rung 3 is death.
-			return nil, errors.New("tcpnet: WithP2P is incompatible with WithReconnect; use WithResume")
-		}
-		c.peerEpochs = make([]uint32, len(conns))
-	}
-	if c.ckpt != nil {
-		if c.resumeL == nil {
-			return nil, errors.New("tcpnet: WithCheckpoint requires WithResume; recovery is worker-initiated re-attachment")
-		}
-		if c.reconnect != nil {
-			return nil, errors.New("tcpnet: WithCheckpoint is incompatible with WithReconnect")
-		}
+	c.peerEpochs = make([]uint32, len(conns))
+	if c.ckpt != nil && c.resumeL == nil {
+		return nil, errors.New("tcpnet: WithCheckpoint requires WithResume; recovery is worker-initiated re-attachment")
 	}
 	if c.crashArmed && c.ckpt == nil {
 		return nil, errors.New("tcpnet: WithCrashPoint requires WithCheckpoint")
@@ -500,12 +458,9 @@ func NewCoordinator(cfgBlob []byte, assignment map[rt.NodeID]int, conns []net.Co
 	readers := make([]*wireReader, len(conns))
 	for i, conn := range conns {
 		readers[i] = newWireReader(conn)
-		if !c.p2p {
-			continue
-		}
-		// p2p bootstrap: the worker's first frame advertises its data-plane
-		// listener; it must be in hand before any assignment goes out, so
-		// every assignment can carry the complete address book.
+		// The worker's first frame advertises its data-plane listener; it
+		// must be in hand before any assignment goes out, so every
+		// assignment can carry the complete address book.
 		_ = conn.SetReadDeadline(now.Add(resumeHandshakeTimeout))
 		f, err := readers[i].ReadFrame()
 		if err != nil {
@@ -514,7 +469,7 @@ func NewCoordinator(cfgBlob []byte, assignment map[rt.NodeID]int, conns []net.Co
 		if f.Kind != framePeerAddr || f.Addr == "" {
 			kind, addr := f.Kind, f.Addr
 			putFrame(f)
-			return nil, fmt.Errorf("tcpnet: worker %d sent frame kind %d (addr %q), want its peer address: is the worker running with p2p enabled?",
+			return nil, fmt.Errorf("tcpnet: worker %d sent frame kind %d (addr %q), want its peer address",
 				i, kind, addr)
 		}
 		_ = conn.SetReadDeadline(time.Time{})
@@ -549,9 +504,10 @@ func NewCoordinator(cfgBlob []byte, assignment map[rt.NodeID]int, conns []net.Co
 	return c, nil
 }
 
-// maxP2PWorkers bounds the worker count in p2p mode so peer-pair session
-// ids fit the low 16 bits reserved next to worker session ids.
-const maxP2PWorkers = 128
+// MaxWorkers bounds the worker count of one coordinator: peer-pair
+// session ids must fit the low 16 bits reserved next to worker session
+// ids (see pairSession).
+const MaxWorkers = 128
 
 // pairSession derives the session id both ends of a peer link (i, j)
 // compute independently: the run's session base with the 0x8000 flag and
@@ -564,16 +520,12 @@ func pairSession(base uint64, i, j int) uint64 {
 }
 
 // assignFrame builds worker i's assignment frame: configuration, node ids,
-// session identity, and — in p2p mode — the worker's index, the peer
-// address book, the current peer epochs, and the full node→worker map.
+// session identity, the worker's index, the peer address book, the current
+// peer epochs, and the full node→worker map.
 func (c *Coordinator) assignFrame(i int, epoch uint32) *frame {
 	af := getFrame()
 	af.Kind, af.Session, af.Epoch = frameAssign, c.workers[i].sess.id, epoch
 	af.CfgBlob, af.IDs = c.cfgBlob, c.perWorker[i]
-	if !c.p2p {
-		af.Worker = -1
-		return af
-	}
 	af.Worker = int32(i)
 	af.Peers = c.peerAddrs
 	af.Epochs = append([]uint32(nil), c.peerEpochs...)
@@ -681,8 +633,8 @@ func (c *Coordinator) resumeHandshake(conn net.Conn) {
 		_ = conn.Close()
 		return
 	}
-	// A blank p2p worker re-advertises its data-plane listener ahead of
-	// the hello, mirroring the bootstrap sequence, so the coordinator can
+	// A blank worker re-advertises its data-plane listener ahead of the
+	// hello, mirroring the bootstrap sequence, so the coordinator can
 	// seat it in the slot its logged address book assigns that listener.
 	peerAddr := ""
 	if f.Kind == framePeerAddr {
@@ -744,9 +696,10 @@ func (c *Coordinator) route(from, to rt.NodeID, m rt.Message, srcSeq uint64) {
 	if w, remote := c.assignment[to]; remote {
 		_, fromRemote := c.assignment[from]
 		if fromRemote {
-			// Worker→worker traffic relaying through the star hub — the
-			// bandwidth the p2p data plane exists to remove. In p2p mode
-			// this stays ~0: workers ship it over direct links instead.
+			// Worker→worker traffic relaying through the coordinator. It
+			// stays 0: workers route every message bound for another
+			// worker over their direct peer links, so a nonzero count
+			// means a message bypassed the data plane.
 			c.relayedMsgs++
 			c.relayedBytes += int64(m.WireSize())
 		}
@@ -854,9 +807,9 @@ func (c *Coordinator) stallTimeout() time.Duration {
 // failWorker handles a broken worker connection: retire the connection
 // (waiting for the writer goroutine so every queued reliable frame lands
 // in the retransmit buffer, in order), then take the cheapest configured
-// recovery path — wait for a worker-initiated resume, reconnect
-// asynchronously, or tombstone the worker and hand the death to the
-// failure handler (or record it as fatal for Drain to surface).
+// recovery path — wait for a worker-initiated resume, or tombstone the
+// worker and hand the death to the failure handler (or record it as fatal
+// for Drain to surface).
 func (c *Coordinator) failWorker(i int, cause error) {
 	w := c.workers[i]
 	if w.state != stateLive || c.closed {
@@ -874,14 +827,6 @@ func (c *Coordinator) failWorker(i int, cause error) {
 		// full reassignment — is decided when its hello arrives.
 		w.state = stateReconnecting
 		w.resumeDeadline = time.Now().Add(c.resumeWindow)
-		return
-	}
-	if c.reconnect != nil {
-		w.state = stateReconnecting
-		epoch := w.sess.bumpEpoch()
-		//lint:allow walorder reconnect-only rung: WithReconnect and WithCheckpoint are mutually exclusive (NewCoordinator rejects the pair), so there is no log to order against
-		c.bumpPeerEpoch(i)
-		go c.redial(i, cause, c.assignFrame(i, epoch))
 		return
 	}
 	c.markDead(i, cause)
@@ -905,7 +850,7 @@ func (c *Coordinator) scrubQueuedSeqs(i int) {
 }
 
 // markDead tombstones worker i: peers are told to drop their direct links
-// to it (p2p), and the failure handler (or Drain's fatal error) takes over.
+// to it, and the failure handler (or Drain's fatal error) takes over.
 func (c *Coordinator) markDead(i int, cause error) {
 	if c.ckpt != nil {
 		// Log-before-act: the tombstone, the scrub, the peer-down
@@ -920,15 +865,13 @@ func (c *Coordinator) markDead(i int, cause error) {
 	}
 	c.workers[i].state = stateDead
 	c.scrubQueuedSeqs(i)
-	if c.p2p {
-		for j, w := range c.workers {
-			if j == i || w.state == stateDead {
-				continue
-			}
-			f := getFrame()
-			f.Kind, f.From = framePeerDown, int32(i)
-			c.sendCtl(j, f)
+	for j, w := range c.workers {
+		if j == i || w.state == stateDead {
+			continue
 		}
+		f := getFrame()
+		f.Kind, f.From = framePeerDown, int32(i)
+		c.sendCtl(j, f)
 	}
 	c.notifyDeath(i, cause)
 }
@@ -938,9 +881,6 @@ func (c *Coordinator) markDead(i int, cause error) {
 // bump to the other workers. Worker i itself learns the new epoch from the
 // fresh assignment frame.
 func (c *Coordinator) bumpPeerEpoch(i int) {
-	if !c.p2p {
-		return
-	}
 	c.peerEpochs[i]++
 	for j, w := range c.workers {
 		if j == i || w.state == stateDead {
@@ -974,91 +914,6 @@ func (c *Coordinator) sendCtl(j int, f *frame) {
 	}
 }
 
-// redial re-establishes worker i's connection per the reconnect policy.
-// It runs in its own goroutine: backoff sleeps and slow dials happen off
-// the drain loop, so heartbeats and message relay for healthy workers
-// continue while this worker reconnects. The outcome is delivered to the
-// drain loop through the inbox. Close cancels it: the done channel is
-// checked before every sleep and dial, so the goroutine never outlives the
-// coordinator by attempts × backoff dialing a dead address. af is the
-// pre-built assignment frame (built on the drain loop, where the peer
-// epochs are stable); redial owns it and returns it to the pool.
-func (c *Coordinator) redial(i int, cause error, af *frame) {
-	defer putFrame(af)
-	backoff := time.NewTimer(0)
-	if !backoff.Stop() {
-		<-backoff.C
-	}
-	defer backoff.Stop()
-	for attempt := 0; attempt < c.reconnect.attempts; attempt++ {
-		if attempt > 0 && c.reconnect.backoff > 0 {
-			backoff.Reset(c.reconnect.backoff)
-			select {
-			case <-backoff.C:
-			case <-c.done:
-				return
-			}
-		}
-		select {
-		case <-c.done:
-			return
-		default:
-		}
-		conn, err := c.reconnect.dial(i)
-		if err != nil {
-			continue
-		}
-		w := newWireWriter(conn)
-		if err := w.WriteFrame(af); err != nil {
-			_ = conn.Close()
-			continue
-		}
-		if err := w.Flush(); err != nil {
-			_ = conn.Close()
-			continue
-		}
-		select {
-		case c.inbox <- taggedFrame{worker: i, redial: &redialResult{conn: conn, cause: cause}}:
-		case <-c.done:
-			_ = conn.Close()
-		}
-		return
-	}
-	select {
-	case c.inbox <- taggedFrame{worker: i, redial: &redialResult{cause: cause}}:
-	case <-c.done:
-	}
-}
-
-// applyRedial installs (or buries) the result of an asynchronous redial.
-func (c *Coordinator) applyRedial(i int, r *redialResult) {
-	w := c.workers[i]
-	if w.state != stateReconnecting || c.closed {
-		if r.conn != nil {
-			_ = r.conn.Close()
-		}
-		return
-	}
-	if r.conn == nil {
-		c.markDead(i, r.cause)
-		return
-	}
-	// Transport restored, but the replacement process rebuilt its actors
-	// from scratch: the old state must still be recovered.
-	//lint:allow walorder reconnect-only rung: WithReconnect and WithCheckpoint are mutually exclusive (NewCoordinator rejects the pair), so there is no log to order against
-	w.sess.reset()
-	w.conn = r.conn
-	w.gen++
-	w.delivered, w.processed, w.received, w.emitted = 0, 0, 0, 0
-	w.peerEmitted, w.peerProcessed = nil, nil
-	w.lastHeard = time.Now()
-	w.state = stateLive
-	c.fullReassigns++
-	c.startWriter(w, r.conn, nil, nil)
-	go c.readLoop(i, w.gen, newWireReader(r.conn))
-	c.notifyDeath(i, r.cause)
-}
-
 // applyResume decides a redialing worker's fate: resume the session from
 // the retransmit buffers (rung 1), or reassign it from scratch under a new
 // epoch (rung 2).
@@ -1074,14 +929,14 @@ func (c *Coordinator) applyResume(req *resumeRequest) {
 		// such slot by re-sending the assignment and replaying the slot's
 		// entire sequenced stream from the retransmit buffer. That is
 		// exact, and cheaper than the purge rung: nothing the worker held
-		// is lost, because it never held anything. In p2p mode blank
-		// workers are NOT interchangeable — every peer dials the address
-		// book — so the re-advertised listener must pin the claim to the
-		// one slot whose logged address it matches.
+		// is lost, because it never held anything. Blank workers are NOT
+		// interchangeable — every peer dials the address book — so the
+		// re-advertised listener must pin the claim to the one slot whose
+		// logged address it matches.
 		for k, wk := range c.workers {
 			if wk.state == stateReconnecting && wk.sess.seen() == 0 &&
 				wk.sess.ackedNow() == 0 && wk.sess.resumable() &&
-				(!c.p2p || (req.peerAddr != "" && c.peerAddrs[k] == req.peerAddr)) {
+				req.peerAddr != "" && c.peerAddrs[k] == req.peerAddr {
 				i, ok, blank = k, true, true
 				break
 			}
@@ -1188,10 +1043,7 @@ func (c *Coordinator) applyResume(req *resumeRequest) {
 		req.lastSeq, sess.ackedNow(), sess.framesSent(), w.restored, cause)
 	w.restored = false
 	epoch := sess.bumpEpoch()
-	peerEpoch := uint32(0)
-	if c.p2p {
-		peerEpoch = c.peerEpochs[i] + 1
-	}
+	peerEpoch := c.peerEpochs[i] + 1
 	if c.ckpt != nil {
 		// Log-before-act: the session reset, the queue scrub, and the
 		// broadcasts bumpPeerEpoch is about to sequence are all effects
@@ -1229,9 +1081,6 @@ func (c *Coordinator) applyResume(req *resumeRequest) {
 // addresses but not liveness, and without these frames the worker would
 // redial a dead peer's address forever.
 func (c *Coordinator) sendPeerLiveness(i int) {
-	if !c.p2p {
-		return
-	}
 	for k, w := range c.workers {
 		if k == i || w.state != stateDead {
 			continue
@@ -1261,11 +1110,11 @@ func (c *Coordinator) notifyDeath(i int, cause error) {
 
 // quiescent reports whether no work remains anywhere. Dead workers are
 // excluded: their outstanding counters can never settle. A reconnecting
-// worker blocks quiescence — its resume, redial outcome, or the failure
-// notification that follows, are still in flight.
+// worker blocks quiescence — its resume, or the failure notification that
+// follows, is still in flight.
 //
-// In p2p mode the per-connection predicate generalizes to per-link
-// counters: besides each coordinator link's delivered==processed and
+// The per-connection predicate generalizes to per-link counters: besides
+// each coordinator link's delivered==processed and
 // received==emitted, every ordered live pair (i, j) must agree that what i
 // emitted onto its direct link to j, j has processed:
 //
@@ -1296,18 +1145,16 @@ func (c *Coordinator) quiescent() bool {
 			return false
 		}
 	}
-	if c.p2p {
-		for i, wi := range c.workers {
-			if wi.state != stateLive {
+	for i, wi := range c.workers {
+		if wi.state != stateLive {
+			continue
+		}
+		for j, wj := range c.workers {
+			if j == i || wj.state != stateLive {
 				continue
 			}
-			for j, wj := range c.workers {
-				if j == i || wj.state != stateLive {
-					continue
-				}
-				if peerCount(wi.peerEmitted, j) != peerCount(wj.peerProcessed, i) {
-					return false
-				}
+			if peerCount(wi.peerEmitted, j) != peerCount(wj.peerProcessed, i) {
+				return false
 			}
 		}
 	}
@@ -1315,7 +1162,7 @@ func (c *Coordinator) quiescent() bool {
 }
 
 // peerCount reads a per-peer counter array that may not have been reported
-// yet (nil until the worker's first p2p report).
+// yet (nil until the worker's first report).
 func peerCount(a []int64, i int) int64 {
 	if i >= len(a) {
 		return 0
@@ -1490,13 +1337,6 @@ func (c *Coordinator) sessionTick() {
 					cause = errors.New("connection lost")
 				}
 				cause = fmt.Errorf("no resume within %v: %w", c.resumeWindow, cause)
-				if c.reconnect != nil {
-					epoch := w.sess.bumpEpoch()
-					//lint:allow walorder reconnect-only rung: WithReconnect and WithCheckpoint are mutually exclusive (NewCoordinator rejects the pair), so there is no log to order against
-					c.bumpPeerEpoch(i)
-					go c.redial(i, cause, c.assignFrame(i, epoch))
-					continue
-				}
 				c.markDead(i, cause)
 			}
 		}
@@ -1537,10 +1377,6 @@ func (c *Coordinator) absorb() {
 }
 
 func (c *Coordinator) apply(tf taggedFrame) {
-	if tf.redial != nil {
-		c.applyRedial(tf.worker, tf.redial)
-		return
-	}
 	if tf.resume != nil {
 		c.applyResume(tf.resume)
 		return
@@ -1674,7 +1510,6 @@ func (c *Coordinator) Close() {
 		return
 	}
 	c.closed = true
-	close(c.done)
 	if c.resumeL != nil {
 		_ = c.resumeL.Close()
 	}

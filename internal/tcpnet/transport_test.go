@@ -1,15 +1,16 @@
 package tcpnet
 
 // Transport-level tests: they exercise the frame codec, the writer
-// goroutine + bounded outbox, report coalescing, asynchronous redial, and
-// the FIFO/flush discipline the quiescence predicate depends on — all
-// below the join protocol, with synthetic actors.
+// goroutine + bounded outbox, report coalescing, and the FIFO/flush
+// discipline the quiescence predicate depends on — all below the join
+// protocol, with synthetic actors.
 
 import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
 	"errors"
+	"hash/crc32"
 	"io"
 	"net"
 	"reflect"
@@ -79,8 +80,21 @@ func tcpPair(t *testing.T) (net.Conn, net.Conn) {
 	return server, d.c
 }
 
+// advertise writes the bootstrap frame a worker owes the coordinator — its
+// data-plane listener address — for a scripted worker that never runs
+// RunWorker. On a TCP conn the kernel buffers it, so call it before
+// NewCoordinator, which reads it.
+func advertise(conn net.Conn) error {
+	w := newWireWriter(conn)
+	if err := w.WriteFrame(&frame{Kind: framePeerAddr, Addr: "127.0.0.1:1"}); err != nil {
+		return err
+	}
+	return w.Flush()
+}
+
 // runTestWorker serves a worker over conn with the given actors, reporting
-// RunWorker's result on the returned channel.
+// RunWorker's result on the returned channel. Start it before
+// NewCoordinator: the coordinator waits for the worker's bootstrap frame.
 func runTestWorker(conn net.Conn, actors map[rt.NodeID]rt.Actor) <-chan error {
 	done := make(chan error, 1)
 	go func() {
@@ -89,6 +103,15 @@ func runTestWorker(conn net.Conn, actors map[rt.NodeID]rt.Actor) <-chan error {
 		})
 	}()
 	return done
+}
+
+// lenHeader builds a frame header announcing an n-byte body, with a valid
+// length checksum.
+func lenHeader(n uint32) []byte {
+	hdr := make([]byte, frameHeaderLen)
+	binary.LittleEndian.PutUint32(hdr, n)
+	binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(hdr[:4], crcTable))
+	return hdr
 }
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -220,13 +243,42 @@ func TestFrameDecodeErrors(t *testing.T) {
 		t.Fatalf("clean close: got %v, want bare io.EOF", err)
 	}
 
-	r = newWireReader(bytes.NewReader([]byte{0, 0, 0, 0}))
+	r = newWireReader(bytes.NewReader(lenHeader(0)))
 	if _, err := r.ReadFrame(); !errors.Is(err, wire.ErrBadLength) {
 		t.Errorf("zero-length frame: got %v, want ErrBadLength", err)
 	}
-	r = newWireReader(bytes.NewReader([]byte{1, 0, 0, 0, 99}))
+	r = newWireReader(bytes.NewReader(append(lenHeader(1), 99)))
 	if _, err := r.ReadFrame(); !errors.Is(err, wire.ErrBadLength) {
 		t.Errorf("sub-minimum frame length: got %v, want ErrBadLength", err)
+	}
+	r = newWireReader(bytes.NewReader([]byte{0, 0, 0, 0, 0, 0, 0, 0}))
+	if _, err := r.ReadFrame(); !errors.Is(err, wire.ErrChecksum) {
+		t.Errorf("length with a wrong checksum: got %v, want ErrChecksum", err)
+	}
+}
+
+// TestLengthCorruptionFailsFast pins the length checksum: a frame whose
+// length prefix was corrupted into a large but legal size, sent on an
+// otherwise idle connection, must fail at once with ErrChecksum. Without
+// the check the reader waits for a body that never arrives — on a
+// coordinator link until the heartbeat declares the worker dead, on a
+// peer link (no heartbeat) forever.
+func TestLengthCorruptionFailsFast(t *testing.T) {
+	raw, err := appendFrame(nil, &frame{Kind: frameMsg, From: 2, To: 7,
+		Msg: &testMsg{Seq: 5, Pad: []byte("payload")}}, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[2] ^= 0xFF // body length now ~16 MB: within maxFrameBytes
+	server, client := net.Pipe()
+	defer server.Close()
+	defer client.Close()
+	go func() { _, _ = client.Write(raw) }() // unblocked by the deferred Close
+	_ = server.SetReadDeadline(time.Now().Add(5 * time.Second))
+	start := time.Now()
+	_, err = newWireReader(server).ReadFrame()
+	if !errors.Is(err, wire.ErrChecksum) {
+		t.Fatalf("corrupted length after %v: got %v, want ErrChecksum", time.Since(start), err)
 	}
 }
 
@@ -272,6 +324,9 @@ func TestAssignmentIDsSorted(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		server, client := net.Pipe()
 		go func() {
+			if advertise(client) != nil {
+				return
+			}
 			r := newWireReader(client)
 			for {
 				f, err := r.ReadFrame()
@@ -297,10 +352,14 @@ func TestAssignmentIDsSorted(t *testing.T) {
 	}
 }
 
-// dummyConn is a loopback connection whose far side just discards input.
+// dummyConn is a loopback connection whose far side advertises a peer
+// address and then just discards input.
 func dummyConn(t *testing.T) net.Conn {
 	t.Helper()
 	server, client := tcpPair(t)
+	if err := advertise(client); err != nil {
+		t.Fatal(err)
+	}
 	go func() {
 		buf := make([]byte, 4096)
 		for {
@@ -378,14 +437,30 @@ func (c *recordingConn) countFrames(t *testing.T, kind frameKind) int {
 	return count
 }
 
+// gatedConn holds a worker's reads until open is closed; its writes pass
+// through, so the worker can still bootstrap.
+type gatedConn struct {
+	net.Conn
+	open chan struct{}
+}
+
+func (g *gatedConn) Read(p []byte) (int, error) {
+	<-g.open
+	return g.Conn.Read(p)
+}
+
 // TestReportCoalescing pins the fix for the report storm: a worker handed a
 // pipelined batch of n messages must not send one report per message, only
 // one per blocking point. The messages are injected (and sitting in socket
-// buffers) before the worker starts, so their delivery is maximally
-// pipelined and the worker sees a non-empty read buffer throughout.
+// buffers) before the worker reads anything, so their delivery is
+// maximally pipelined and the worker sees a non-empty read buffer
+// throughout.
 func TestReportCoalescing(t *testing.T) {
 	server, client := tcpPair(t)
-	rec := &recordingConn{Conn: client}
+	open := make(chan struct{})
+	rec := &recordingConn{Conn: &gatedConn{Conn: client, open: open}}
+	var got int64
+	workerDone := runTestWorker(rec, map[rt.NodeID]rt.Actor{1: &countActor{n: &got}})
 
 	c, err := NewCoordinator(nil, map[rt.NodeID]int{1: 0}, []net.Conn{server})
 	if err != nil {
@@ -398,11 +473,9 @@ func TestReportCoalescing(t *testing.T) {
 		c.Inject(1, &testMsg{Seq: i})
 	}
 	// Give the writer goroutine time to push the batch into the socket
-	// buffers, then start the worker against the backlog.
+	// buffers, then let the worker read the backlog.
 	time.Sleep(50 * time.Millisecond)
-
-	var got int64
-	workerDone := runTestWorker(rec, map[rt.NodeID]rt.Actor{1: &countActor{n: &got}})
+	close(open)
 
 	if err := c.Drain(); err != nil {
 		t.Fatal(err)
@@ -432,6 +505,8 @@ func TestReportCoalescing(t *testing.T) {
 // while an outbox is full) must complete the run instead.
 func TestWritePathNoDeadlockUnderBackpressure(t *testing.T) {
 	server, client := tcpPair(t)
+	const sink = rt.NodeID(50)
+	workerDone := runTestWorker(client, map[rt.NodeID]rt.Actor{1: &echoActor{to: sink}})
 
 	c, err := NewCoordinator(nil, map[rt.NodeID]int{1: 0}, []net.Conn{server},
 		WithInboxFrames(2),
@@ -442,9 +517,7 @@ func TestWritePathNoDeadlockUnderBackpressure(t *testing.T) {
 	defer c.Close()
 
 	var got int64
-	const sink = rt.NodeID(50)
 	c.Register(sink, &countActor{n: &got})
-	workerDone := runTestWorker(client, map[rt.NodeID]rt.Actor{1: &echoActor{to: sink}})
 
 	// 64 × 256 KiB echoes ≈ 16 MiB each way: far beyond what socket
 	// buffers absorb, so both directions hit real TCP backpressure.
@@ -465,73 +538,6 @@ func TestWritePathNoDeadlockUnderBackpressure(t *testing.T) {
 	}
 }
 
-// TestRedialDoesNotStallHealthyWorkers pins the asynchronous reconnect:
-// while one worker's redial is pending (the dial below blocks until
-// released), message relay through the other worker must keep flowing. On
-// the old transport the backoff sleep ran inside the drain loop, freezing
-// relay for everyone until reconnection resolved.
-func TestRedialDoesNotStallHealthyWorkers(t *testing.T) {
-	doomedServer, doomedClient := tcpPair(t)
-	healthyServer, healthyClient := tcpPair(t)
-
-	release := make(chan struct{})
-	var handlerWorker int64 = -1
-	c, err := NewCoordinator(nil, map[rt.NodeID]int{1: 0, 2: 1},
-		[]net.Conn{doomedServer, healthyServer},
-		WithDrainTimeout(30*time.Second),
-		WithReconnect(func(worker int) (net.Conn, error) {
-			<-release
-			return nil, errDialRefused
-		}, 1, 0),
-		WithFailureHandler(func(worker int, nodes []rt.NodeID, cause error) {
-			atomic.StoreInt64(&handlerWorker, int64(worker))
-		}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	var got int64
-	const sink = rt.NodeID(50)
-	const n = 50
-	c.Register(sink, &countActor{n: &got})
-	runTestWorker(doomedClient, map[rt.NodeID]rt.Actor{1: &echoActor{to: sink}})
-	healthyDone := runTestWorker(healthyClient, map[rt.NodeID]rt.Actor{2: &echoActor{to: sink}})
-
-	// Kill the doomed worker's connection, then release the blocked dial
-	// only once every echo through the healthy worker has round-tripped —
-	// proof the relay ran while the redial was pending.
-	doomedClient.Close()
-	go func() {
-		for atomic.LoadInt64(&got) < n {
-			time.Sleep(time.Millisecond)
-		}
-		close(release)
-	}()
-
-	for i := 0; i < n; i++ {
-		c.Inject(2, &testMsg{Seq: i})
-	}
-	if err := c.Drain(); err != nil {
-		t.Fatalf("Drain with failure handler installed: %v", err)
-	}
-	if got != n {
-		t.Fatalf("sink received %d of %d echoes through the healthy worker", got, n)
-	}
-	if w := atomic.LoadInt64(&handlerWorker); w != 0 {
-		t.Fatalf("failure handler saw worker %d, want 0", w)
-	}
-	if c.workers[0].state != stateDead {
-		t.Fatalf("doomed worker state %v, want dead", c.workers[0].state)
-	}
-	c.Close()
-	if err := <-healthyDone; err != nil {
-		t.Fatalf("healthy worker exit: %v", err)
-	}
-}
-
-var errDialRefused = net.UnknownNetworkError("test: dial refused")
-
 // TestQuiescenceFIFOOrdering pins the property the quiescence predicate
 // depends on: buffering and coalescing must preserve per-connection FIFO
 // order, and Drain must not return while a flushed-but-unprocessed frame
@@ -541,6 +547,8 @@ var errDialRefused = net.UnknownNetworkError("test: dial refused")
 // early flush being lost, breaks the count or the order.
 func TestQuiescenceFIFOOrdering(t *testing.T) {
 	server, client := tcpPair(t)
+	const sink = rt.NodeID(50)
+	workerDone := runTestWorker(client, map[rt.NodeID]rt.Actor{1: &echoActor{to: sink}})
 	c, err := NewCoordinator(nil, map[rt.NodeID]int{1: 0}, []net.Conn{server})
 	if err != nil {
 		t.Fatal(err)
@@ -548,9 +556,7 @@ func TestQuiescenceFIFOOrdering(t *testing.T) {
 	defer c.Close()
 
 	col := &seqActor{}
-	const sink = rt.NodeID(50)
 	c.Register(sink, col)
-	workerDone := runTestWorker(client, map[rt.NodeID]rt.Actor{1: &echoActor{to: sink}})
 
 	const rounds, perRound = 3, 500
 	next := 0

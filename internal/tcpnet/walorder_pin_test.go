@@ -26,6 +26,9 @@ import (
 // the death from the log instead of double-applying it.
 func TestCrashAtDeathRecordKeepsLogAhead(t *testing.T) {
 	l, server, client, _ := resumePair(t, nil)
+	if err := advertise(client); err != nil {
+		t.Fatal(err)
+	}
 
 	var wal bytes.Buffer
 	deaths := make(chan error, 1)
@@ -82,6 +85,9 @@ func TestCrashAtDeathRecordKeepsLogAhead(t *testing.T) {
 // no failure-handler purge.
 func TestCrashAtEpochRecordKeepsLogAhead(t *testing.T) {
 	l, server, client, dial := resumePair(t, nil)
+	if err := advertise(client); err != nil {
+		t.Fatal(err)
+	}
 
 	var wal bytes.Buffer
 	deaths := make(chan error, 1)

@@ -14,24 +14,28 @@ import (
 // Wire format. Every frame is length-prefixed and carries a session
 // envelope:
 //
-//	[4-byte little-endian body length][body]
+//	[4-byte little-endian body length][crc32c(4) of the length][body]
 //	body = [crc32c(4)][seq(8)][ack(8)][kind(1)][kind-specific fields]
 //
-// The CRC32C (Castagnoli) covers everything after itself — seq, ack,
-// kind, fields — so a flipped bit anywhere in a frame is detected before
-// the frame is acted on, and surfaces as wire.ErrChecksum instead of a
-// clean close. seq is the per-session sequence number for reliable frames
-// (0 for control frames); ack is the sender's cumulative receive position,
-// piggybacked on every frame in both directions (see session.go). frameMsg
-// payloads are encoded by internal/wire: hand-written binary codecs for
-// the hot chunk-bearing messages, gob for the rare control messages.
+// The length has its own CRC32C (Castagnoli), checked before the body is
+// read: a corrupted length must fail at once, not leave the reader waiting
+// for a body of the wrong size that may never arrive (peer links have no
+// heartbeat to end that wait). The body CRC32C covers everything after
+// itself — seq, ack, kind, fields. A flipped bit anywhere in a frame is
+// thus detected before the frame is acted on, and surfaces as
+// wire.ErrChecksum instead of a clean close. seq is the per-session
+// sequence number for reliable frames (0 for control frames); ack is the
+// sender's cumulative receive position, piggybacked on every frame in both
+// directions (see session.go). frameMsg payloads are encoded by
+// internal/wire: hand-written binary codecs for the hot chunk-bearing
+// messages, gob for the rare control messages.
 //
 // Both directions are buffered. The flush discipline is what keeps the
 // coordinator's quiescence predicate sound on a buffered transport: a
-// writer flushes exactly at its blocking points (the coordinator's writer
-// goroutine when its outbox runs dry, the worker before blocking on its
-// next read), and buffering preserves per-connection FIFO order, so a
-// worker's report still follows every message it emitted before it.
+// writer flushes exactly at its blocking points (the writer goroutine when
+// its outbox runs dry, the worker loop when its inbox runs dry), and
+// buffering preserves per-connection FIFO order, so a worker's report
+// still follows every message it emitted before it.
 
 const (
 	// maxFrameBytes bounds a single frame body; a corrupt length prefix
@@ -42,7 +46,8 @@ const (
 	writeBufBytes = 256 << 10
 	readBufBytes  = 256 << 10
 
-	frameHeaderLen = 4
+	// frameHeaderLen is the body length plus its checksum.
+	frameHeaderLen = 4 + 4
 	// envelopeLen is the session envelope inside the body: crc + seq + ack.
 	envelopeLen = 4 + 8 + 8
 	// minBodyLen is the envelope plus the kind byte.
@@ -66,12 +71,12 @@ func putFrame(f *frame) {
 	framePool.Put(f)
 }
 
-// appendFrame appends one complete frame — length prefix, CRC32C,
-// sequence number, cumulative ack, kind byte, fields — to dst.
+// appendFrame appends one complete frame — length prefix and its CRC32C,
+// body CRC32C, sequence number, cumulative ack, kind byte, fields — to dst.
 func appendFrame(dst []byte, f *frame, seq, ack uint64) ([]byte, error) {
 	start := len(dst)
-	dst = append(dst, 0, 0, 0, 0) // length, patched below
-	dst = append(dst, 0, 0, 0, 0) // crc, patched below
+	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0) // length and its crc, patched below
+	dst = append(dst, 0, 0, 0, 0)             // body crc, patched below
 	dst = binary.LittleEndian.AppendUint64(dst, seq)
 	dst = binary.LittleEndian.AppendUint64(dst, ack)
 	dst = append(dst, byte(f.Kind))
@@ -86,8 +91,8 @@ func appendFrame(dst []byte, f *frame, seq, ack uint64) ([]byte, error) {
 		for _, id := range f.IDs {
 			dst = binary.LittleEndian.AppendUint32(dst, uint32(id))
 		}
-		// p2p extension: worker index, address book, peer epochs, and the
-		// full node→worker map. All zero-length in star mode.
+		// Data plane: worker index, address book, peer epochs, and the
+		// full node→worker map.
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(f.Worker))
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(f.Peers)))
 		for _, p := range f.Peers {
@@ -176,9 +181,26 @@ func appendFrame(dst []byte, f *frame, seq, ack uint64) ([]byte, error) {
 	if len(body) > maxFrameBytes {
 		return nil, fmt.Errorf("tcpnet: frame of %d bytes exceeds limit", len(body))
 	}
-	binary.LittleEndian.PutUint32(dst[start:], uint32(len(body)))
+	hdr := dst[start : start+frameHeaderLen]
+	binary.LittleEndian.PutUint32(hdr, uint32(len(body)))
+	binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(hdr[:4], crcTable))
 	binary.LittleEndian.PutUint32(body, crc32.Checksum(body[4:], crcTable))
 	return dst, nil
+}
+
+// frameLen validates a frame header and returns its body length. The
+// length's checksum is verified before the length is trusted, so a
+// corrupted prefix fails here as wire.ErrChecksum.
+func frameLen(hdr []byte) (int, error) {
+	if want, got := binary.LittleEndian.Uint32(hdr[4:]), crc32.Checksum(hdr[:4], crcTable); got != want {
+		return 0, fmt.Errorf("tcpnet: frame length crc %#x, header says %#x: %w", got, want, wire.ErrChecksum)
+	}
+	n := int(binary.LittleEndian.Uint32(hdr))
+	if n < minBodyLen || n > maxFrameBytes {
+		return 0, fmt.Errorf("tcpnet: frame length %d outside [%d, %d]: %w",
+			n, minBodyLen, maxFrameBytes, wire.ErrBadLength)
+	}
+	return n, nil
 }
 
 // wireWriter encodes frames onto a buffered connection. Not safe for
@@ -281,8 +303,9 @@ func (r *wireReader) Buffered() int { return r.br.Buffered() }
 //
 // A clean peer close at a frame boundary returns bare io.EOF. Anything
 // else — a stream ending mid-frame, an illegal length prefix, a failed
-// CRC — returns an error matching one of the wire package's typed decode
-// errors, so callers can tell corruption from shutdown.
+// CRC on the length or the body — returns an error matching one of the
+// wire package's typed decode errors, so callers can tell corruption from
+// shutdown.
 func (r *wireReader) ReadFrame() (*frame, error) {
 	var hdr [frameHeaderLen]byte
 	if _, err := io.ReadFull(r.br, hdr[:]); err != nil {
@@ -291,10 +314,9 @@ func (r *wireReader) ReadFrame() (*frame, error) {
 		}
 		return nil, fmt.Errorf("tcpnet: stream ended mid-header (%v): %w", err, wire.ErrTruncated)
 	}
-	n := int(binary.LittleEndian.Uint32(hdr[:]))
-	if n < minBodyLen || n > maxFrameBytes {
-		return nil, fmt.Errorf("tcpnet: frame length %d outside [%d, %d]: %w",
-			n, minBodyLen, maxFrameBytes, wire.ErrBadLength)
+	n, err := frameLen(hdr[:])
+	if err != nil {
+		return nil, err
 	}
 	if cap(r.buf) < n {
 		r.buf = make([]byte, n)

@@ -156,17 +156,15 @@ func TestUnknownKindTyped(t *testing.T) {
 		t.Errorf("encode of unknown kind: got %v, want ErrUnknownKind", err)
 	}
 
-	// Hand-build a minimal frame with a valid CRC and kind byte 0xEE:
-	// [len][crc][seq][ack][kind].
+	// Hand-build a minimal frame with valid CRCs and kind byte 0xEE:
+	// [len][len crc][crc][seq][ack][kind].
 	body := make([]byte, 4+8+8+1)
 	binary.LittleEndian.PutUint64(body[4:], 1)  // seq
 	binary.LittleEndian.PutUint64(body[12:], 0) // ack
 	body[20] = 0xEE
 	binary.LittleEndian.PutUint32(body, crc32.Checksum(body[4:], crcTable))
 	var bb bytes.Buffer
-	var lenPrefix [4]byte
-	binary.LittleEndian.PutUint32(lenPrefix[:], uint32(len(body)))
-	bb.Write(lenPrefix[:])
+	bb.Write(lenHeader(uint32(len(body))))
 	bb.Write(body)
 
 	r := newWireReader(&bb)

@@ -33,14 +33,16 @@ import (
 // number — to delivery, relay, and mark records, so replay can restore
 // each session's receive position to the contiguous prefix the log
 // actually covers instead of assuming record count equals sequence floor.
-const CkptVersion = 2
+// Version 3 dropped the header's topology byte: the peer-to-peer data
+// plane is the only topology, and the address book sizes the cluster.
+const CkptVersion = 3
 
 // CkptKind enumerates checkpoint record kinds.
 type CkptKind uint8
 
 const (
 	// CkptHeader opens a log: format version, config blob, session base,
-	// topology, and the node→worker assignment.
+	// peer address book, and the node→worker assignment.
 	CkptHeader CkptKind = iota + 1
 	// CkptDelivery is a message enqueued for a coordinator-local actor
 	// (scheduler or source), in delivery order — the replay stream that
@@ -68,7 +70,6 @@ type CkptRecord struct {
 	// CkptHeader.
 	Version       uint32
 	SessionBase   uint64
-	P2P           bool
 	CfgBlob       []byte
 	PeerAddrs     []string
 	AssignIDs     []int32
@@ -123,11 +124,6 @@ func AppendCheckpointRecord(dst []byte, rec *CkptRecord) ([]byte, error) {
 	case CkptHeader:
 		dst = binary.LittleEndian.AppendUint32(dst, rec.Version)
 		dst = binary.LittleEndian.AppendUint64(dst, rec.SessionBase)
-		var p2p byte
-		if rec.P2P {
-			p2p = 1
-		}
-		dst = append(dst, p2p)
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(rec.CfgBlob)))
 		dst = append(dst, rec.CfgBlob...)
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(rec.PeerAddrs)))
@@ -223,14 +219,13 @@ func (cr *CheckpointReader) Next() (*CkptRecord, error) {
 	}
 	switch rec.Kind {
 	case CkptHeader:
-		if len(body) < 17 {
+		if len(body) < 16 {
 			return bad()
 		}
 		rec.Version = binary.LittleEndian.Uint32(body)
 		rec.SessionBase = binary.LittleEndian.Uint64(body[4:])
-		rec.P2P = body[12] != 0
-		bl := int(binary.LittleEndian.Uint32(body[13:]))
-		body = body[17:]
+		bl := int(binary.LittleEndian.Uint32(body[12:]))
+		body = body[16:]
 		if bl < 0 || len(body) < bl+4 {
 			return bad()
 		}

@@ -13,7 +13,7 @@ import (
 func ckptFixtures() map[CkptKind]*CkptRecord {
 	return map[CkptKind]*CkptRecord{
 		CkptHeader: {Kind: CkptHeader, Version: CkptVersion, SessionBase: 0xABCD0000,
-			P2P: true, CfgBlob: []byte{9, 8, 7},
+			CfgBlob:       []byte{9, 8, 7},
 			PeerAddrs:     []string{"10.0.0.1:9001", "10.0.0.2:9002"},
 			AssignIDs:     []int32{5, 6, 7},
 			AssignWorkers: []int32{0, 1, 0}},
